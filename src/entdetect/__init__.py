@@ -15,6 +15,7 @@ from .correlations import (
     CorrelationRecord,
     CorrelationTensor,
     CriterionState,
+    DetectionResult,
     all_full_indices,
     bloch_vector,
     correlation,
@@ -53,10 +54,8 @@ from .linalg import (
 )
 from .oracles import EntanglementVerdict, brute_force_criterion, ppt_verdict
 from .schmidt import (
-    FilterOp,
     ProtocolConfig,
     SchmidtFrame,
-    apply_filter,
     basis_from_angles,
     bloch_to_basis,
     pair_directions,
@@ -64,11 +63,13 @@ from .schmidt import (
     run_protocol,
     schmidt_oracle,
 )
-from .sources import MeasurementSource, direction_operator
+from .sources import MeasurementSource, direction_operator, measure_bloch
 from .states import (
     DensityMatrix,
+    FilterOp,
     LocalFrame,
     PureState,
+    apply_filter,
     apply_frame,
     bell_phi_plus,
     haar_unitary,
@@ -91,7 +92,6 @@ from .states import (
 )
 from .tree import (
     DecisionTree,
-    DetectionResult,
     TreeNode,
     anticommute,
     default_tree_2q,

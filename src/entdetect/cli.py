@@ -13,13 +13,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .correlations import format_index, parse_index
+from .correlations import DetectionResult, format_index, parse_index
 from .errors import (
     DegenerateDirection,
     DomainError,
@@ -52,7 +52,6 @@ from .states import (
 )
 from .tree import (
     DecisionTree,
-    DetectionResult,
     default_tree_2q,
     generate_tree,
     load_tree,
@@ -84,6 +83,8 @@ class ExperimentConfig:
             raise DomainError(f"shot mode needs at least {MIN_SHOTS} shots, got {self.shots}")
         if not 0.0 < self.threshold < 1.0:
             raise DomainError(f"threshold must be in (0, 1), got {self.threshold}")
+        if not 0.0 <= self.error_multiplier < math.inf:
+            raise DomainError(f"error multiplier must be finite and >= 0, got {self.error_multiplier}")
 
 
 @dataclass
@@ -115,18 +116,7 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "parameter": r.parameter,
-                    "fraction": r.fraction,
-                    "mean_steps": r.mean_steps,
-                    "n_samples": r.n_samples,
-                    "seed": r.seed,
-                }
-                for r in self.rows
-            ]
-        )
+        return json.dumps([asdict(r) for r in self.rows])
 
 
 def parse_mode(text: str) -> Optional[int]:
@@ -170,7 +160,7 @@ def parse_state_spec(spec: str) -> DensityMatrix:
             state = load_state(spec)
         except FileNotFoundError as exc:
             raise ParseError(f"state file not found: {spec}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"malformed state file {spec}: {exc}") from exc
         return state.density() if isinstance(state, PureState) else state
     raise ParseError(f"unknown state spec {spec!r}")
@@ -259,6 +249,8 @@ def sweep_werner(
     p_values, cfg: ExperimentConfig, repeats: int = 20
 ) -> SweepResult:
     """Detection across the Werner family, one row per mixing probability."""
+    if repeats < 1:
+        raise DomainError(f"repeats must be >= 1, got {repeats}")
     result = SweepResult()
     tree = default_tree_2q(cfg.threshold)
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(p_values))
@@ -297,6 +289,8 @@ def sweep_purity(
     """
     if n_samples < 1000:
         raise DomainError(f"purity sweep needs at least 1000 samples, got {n_samples}")
+    if bins < 1:
+        raise DomainError(f"purity sweep needs at least one bin, got {bins}")
     tree = default_tree_2q(cfg.threshold)
     edges = np.linspace(0.25, 1.0, bins + 1)
     entangled_count = np.zeros(bins, dtype=int)
@@ -350,7 +344,10 @@ def cmd_detect(args) -> int:
     state = _prepare_state(args.state, cfg)
     tree = None
     if cfg.tree_path:
-        tree = load_tree(cfg.tree_path)
+        try:
+            tree = load_tree(cfg.tree_path)
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+            raise ParseError(f"malformed tree file {cfg.tree_path}: {exc}") from exc
     elif args.root:
         tree = generate_tree(state.n_qubits, parse_index(args.root), threshold=cfg.threshold)
     result = detect_once(state, cfg, tree)
@@ -504,3 +501,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

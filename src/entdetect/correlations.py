@@ -1,16 +1,21 @@
-"""Correlation tensors, Bloch vectors, and the running sum-of-squares criterion.
+"""The correlation engine, Bloch vectors, and the sum-of-squares criterion.
 
 A correlation index is a tuple of per-party Pauli labels from {"0", "x",
-"y", "z"}; it is "full" when no party sits at the identity. The criterion
-accumulator declares detection as soon as the sum of squared full
-correlations exceeds 1 (minus a configurable multiple of the propagated
-error in shot mode).
+"y", "z"}; it is "full" when no party sits at the identity. pauli_tensor
+turns a state into all 4^n values Tr[rho P] at once, as one product against
+a cached stack of Pauli operators; every exact query (correlation,
+bloch_vector, full_tensor, the measurement sources) is a lookup in or a
+contraction of that tensor, and sample is the one binomial model of a
+finite-statistics measurement. The criterion accumulator declares detection
+as soon as the sum of squared full correlations exceeds 1 (minus a
+configurable multiple of the propagated error in shot mode).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Iterable, Optional, Tuple
 
@@ -32,6 +37,8 @@ Index = Tuple[str, ...]
 
 # Per-party label order used when enumerating full indices.
 _ITER_AXES = ("z", "y", "x")
+# Position of each label along an axis of a Pauli tensor.
+_POSITION = {label: k for k, label in enumerate(PAULI_LABELS)}
 
 
 def parse_index(text: str) -> Index:
@@ -57,20 +64,50 @@ def all_full_indices(n: int) -> list[Index]:
     return [idx for idx in product(_ITER_AXES, repeat=n)]
 
 
-def _check_index(rho: DensityMatrix, index: Index) -> Index:
-    index = tuple(index)
-    if len(index) != rho.n_qubits:
-        raise DimensionMismatch(
-            f"index length {len(index)} does not match {rho.n_qubits} qubits"
-        )
-    return index
+@cache
+def _pauli_rows(n: int) -> np.ndarray:
+    """Row k holds the k-th n-qubit Pauli operator, transposed and flattened,
+    so that rows @ rho.ravel() lists every Tr[rho P_k] (read-only, shared)."""
+    rows = np.array([pauli_operator(idx).T.ravel() for idx in product(PAULI_LABELS, repeat=n)])
+    rows.setflags(write=False)
+    return rows
+
+
+def pauli_tensor(rho: DensityMatrix) -> np.ndarray:
+    """All 4^n expectation values Tr[rho P] as a (4,)*n array.
+
+    Axis q runs over the labels 0, x, y, z of party q; the all-identity
+    entry is the trace, 1.
+    """
+    n = rho.n_qubits
+    t = (_pauli_rows(n) @ rho.matrix.ravel()).real
+    return np.clip(t, -1.0, 1.0).reshape((4,) * n)
+
+
+def lookup(t: np.ndarray, index: Index) -> float:
+    """The entry of a Pauli tensor for a per-party label index."""
+    if len(index) != t.ndim:
+        raise DimensionMismatch(f"index length {len(index)} does not match {t.ndim} qubits")
+    try:
+        return float(t[tuple(_POSITION[label] for label in index)])
+    except KeyError as exc:
+        raise DomainError(f"unknown Pauli label {exc.args[0]!r}") from None
+
+
+def sample(t: float, shots: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Binomial finite-statistics model of a correlation with exact value t.
+
+    n_plus ~ Binomial(shots, (1+t)/2); returns value = (n_plus - n_minus)/shots
+    and stderr = sqrt((1 - value^2)/shots).
+    """
+    n_plus = int(rng.binomial(shots, (1.0 + t) / 2.0))
+    value = (2 * n_plus - shots) / shots
+    return value, math.sqrt(max(0.0, 1.0 - value * value) / shots)
 
 
 def correlation(rho: DensityMatrix, index: Index) -> float:
     """Exact expectation value Tr[rho * (sigma_k x ... x sigma_l)]."""
-    index = _check_index(rho, index)
-    value = np.einsum("ij,ji->", rho.matrix, pauli_operator(index)).real
-    return float(np.clip(value, -1.0, 1.0))
+    return lookup(pauli_tensor(rho), tuple(index))
 
 
 @dataclass(frozen=True)
@@ -93,30 +130,19 @@ class CorrelationRecord:
 
 
 def sampled_correlation(rho: DensityMatrix, index: Index, shots: int, rng) -> CorrelationRecord:
-    """Binomial finite-statistics model of a correlation measurement.
-
-    n_plus ~ Binomial(shots, (1+T)/2), value = (n_plus - n_minus)/shots and
-    stderr = sqrt((1 - value^2)/shots).
-    """
+    """One sampled measurement of a correlation (see sample)."""
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
-    t = correlation(rho, index)
-    rng = as_generator(rng)
-    n_plus = int(rng.binomial(shots, (1.0 + t) / 2.0))
-    value = (2 * n_plus - shots) / shots
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / shots)
+    value, stderr = sample(correlation(rho, index), shots, as_generator(rng))
     return CorrelationRecord(tuple(index), value, stderr, shots)
 
 
 def bloch_vector(rho: DensityMatrix, party: int) -> np.ndarray:
     """Local Bloch vector (T_x, T_y, T_z with identities elsewhere)."""
-    if not 0 <= party < rho.n_qubits:
-        raise DimensionMismatch(f"party {party} out of range for {rho.n_qubits} qubits")
-    out = np.zeros(3)
-    for i, axis in enumerate(("x", "y", "z")):
-        index = tuple(axis if q == party else "0" for q in range(rho.n_qubits))
-        out[i] = correlation(rho, index)
-    return out
+    n = rho.n_qubits
+    if not 0 <= party < n:
+        raise DimensionMismatch(f"party {party} out of range for {n} qubits")
+    return pauli_tensor(rho)[(0,) * party + (slice(1, None),) + (0,) * (n - 1 - party)]
 
 
 def propagated_error(records: Iterable[CorrelationRecord]) -> float:
@@ -161,30 +187,61 @@ def criterion_add(
 
 
 @dataclass(frozen=True, eq=False)
+class DetectionResult:
+    """Transcript and verdict of one detection run.
+
+    records holds every measured correlation in order (local records appear
+    for calibration stages); steps counts the full-correlation measurements
+    that feed the criterion. In shot mode the verdict subtracts
+    error_multiplier * propagated_error from the running sum before
+    comparing against 1.
+    """
+
+    records: Tuple[CorrelationRecord, ...]
+    sum_of_squares: float
+    detected: bool
+    steps: int
+    strategy: str
+    propagated_error: float = 0.0
+    details: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        return "detected" if self.detected else "not-detected"
+
+    @property
+    def full_records(self) -> Tuple[CorrelationRecord, ...]:
+        return tuple(r for r in self.records if is_full(r.index))
+
+
+@dataclass(frozen=True, eq=False)
 class CorrelationTensor:
-    """All 3^n full-correlation values of a state."""
+    """All 3^n full-correlation values of a state, read from its Pauli tensor."""
 
     n_qubits: int
-    values: dict
+    values: np.ndarray  # the (4,)*n Pauli tensor
+
+    @property
+    def full(self) -> np.ndarray:
+        return self.values[(slice(1, None),) * self.n_qubits]
 
     def __getitem__(self, index) -> float:
         if isinstance(index, str):
             index = parse_index(index)
-        return self.values[tuple(index)]
+        return lookup(self.values, tuple(index))
 
     def items(self):
-        return self.values.items()
+        return ((idx, self[idx]) for idx in all_full_indices(self.n_qubits))
 
     def sum_squares(self) -> float:
-        return float(sum(v * v for v in self.values.values()))
+        return float(np.sum(self.full**2))
 
     def max_abs(self) -> float:
-        return float(max(abs(v) for v in self.values.values()))
+        return float(np.max(np.abs(self.full)))
 
 
 def full_tensor(rho: DensityMatrix) -> CorrelationTensor:
     """Exact values for every full index (the brute-force oracle's view)."""
     if rho.n_qubits > MAX_QUBITS:
         raise UnsupportedDimension(f"full tensor limited to {MAX_QUBITS} qubits")
-    values = {idx: correlation(rho, idx) for idx in all_full_indices(rho.n_qubits)}
-    return CorrelationTensor(rho.n_qubits, values)
+    return CorrelationTensor(rho.n_qubits, pauli_tensor(rho))

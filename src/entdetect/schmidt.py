@@ -30,17 +30,17 @@ from typing import Optional
 import numpy as np
 
 from .config import TOL
-from .correlations import CorrelationRecord, CriterionState, criterion_add, propagated_error
-from .errors import (
-    DegenerateDenominator,
-    DegenerateDirection,
-    DimensionMismatch,
-    DomainError,
-    ZeroSuccess,
+from .correlations import (
+    CorrelationRecord,
+    CriterionState,
+    DetectionResult,
+    criterion_add,
+    propagated_error,
 )
-from .linalg import PAULIS, dagger, mat_equal, svd, tensor_product_all
-from .states import DensityMatrix, PureState
-from .tree import DetectionResult
+from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatch
+from .linalg import PAULIS, svd
+from .sources import measure_bloch
+from .states import FilterOp, PureState, apply_filter  # apply_filter: importable from here too
 
 
 @dataclass(frozen=True)
@@ -53,33 +53,6 @@ class SchmidtFrame:
     phi_b: float
     relative_phase: Optional[float] = None
     theta: Optional[float] = None
-
-    def alice_basis(self, perp_phase: float = 0.0):
-        return basis_from_angles(self.xi_a, self.phi_a, perp_phase)
-
-    def bob_basis(self, perp_phase: float = 0.0):
-        return basis_from_angles(self.xi_b, self.phi_b, perp_phase)
-
-
-@dataclass(frozen=True, eq=False)
-class FilterOp:
-    """Local non-unitary filter |b0><b0| + eps |b1><b1| on one party."""
-
-    party: int
-    eps: float
-    basis: Optional[np.ndarray] = None  # columns are |b0>, |b1>; default computational
-
-    def __post_init__(self):
-        if not 0.0 < self.eps <= 1.0:
-            raise DomainError(f"filter strength must be in (0, 1], got {self.eps}")
-        basis = np.eye(2, dtype=complex) if self.basis is None else np.asarray(self.basis, dtype=complex)
-        if basis.shape != (2, 2) or not mat_equal(dagger(basis) @ basis, np.eye(2)):
-            raise DomainError("filter basis must be a single-qubit orthonormal pair")
-        object.__setattr__(self, "basis", basis)
-
-    def operator(self) -> np.ndarray:
-        b0, b1 = self.basis[:, 0], self.basis[:, 1]
-        return np.outer(b0, np.conjugate(b0)) + self.eps * np.outer(b1, np.conjugate(b1))
 
 
 def schmidt_oracle(psi: PureState):
@@ -138,20 +111,6 @@ def pair_directions(v0: np.ndarray, v1: np.ndarray) -> dict:
     return {"z": operator_direction(z_op), "y": operator_direction(y_op), "x": operator_direction(x_op)}
 
 
-def apply_filter(rho: DensityMatrix, f: FilterOp) -> tuple[DensityMatrix, float]:
-    """Conditioned state after a successful filter, and the success probability."""
-    if not 0 <= f.party < rho.n_qubits:
-        raise DimensionMismatch(f"party {f.party} out of range for {rho.n_qubits} qubits")
-    op = tensor_product_all(
-        f.operator() if q == f.party else np.eye(2) for q in range(rho.n_qubits)
-    )
-    conditioned = op @ rho.matrix @ dagger(op)
-    p_succ = float(np.trace(conditioned).real)
-    if p_succ < TOL.zero_projection:
-        raise ZeroSuccess(f"filter success probability {p_succ:.3e} below 1e-12")
-    return DensityMatrix(rho.n_qubits, conditioned / p_succ), p_succ
-
-
 def relative_phase(t_yy: float, bloch_a) -> float:
     """cos(phase) = T_y'y'' / sqrt(1 - |bloch|^2), clamped to [-1, 1].
 
@@ -188,26 +147,6 @@ class ProtocolConfig:
     error_multiplier: float = 1.0
 
 
-_UNIT = {"x": np.array([1.0, 0, 0]), "y": np.array([0, 1.0, 0]), "z": np.array([0, 0, 1.0])}
-
-
-def _bloch_stage(source, transcript):
-    vectors, errors = [], []
-    for party in (0, 1):
-        comps, errs = [], []
-        for axis in ("x", "y", "z"):
-            dirs = [None, None]
-            dirs[party] = _UNIT[axis]
-            value, stderr = source.measure_directions(dirs)
-            index = tuple(axis if q == party else "0" for q in (0, 1))
-            transcript.append(CorrelationRecord(index, value, stderr, source.shots))
-            comps.append(value)
-            errs.append(stderr)
-        vectors.append(np.array(comps))
-        errors.append(np.array(errs))
-    return vectors, errors
-
-
 def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> DetectionResult:
     """Full calibration-plus-verification run against a measurement source.
 
@@ -219,10 +158,9 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
     """
     if source.n_qubits != 2:
         raise DimensionMismatch("the protocol runs on two-qubit sources")
-    transcript = []
     details = {"mode": "always-extra" if config.always_extra else "phase-gated"}
 
-    (bloch_a, bloch_b), (err_a, err_b) = _bloch_stage(source, transcript)
+    transcript, (bloch_a, bloch_b), (err_a, err_b) = measure_bloch(source)
     if source.shots is None:
         thr_a = thr_b = config.vanishing_threshold
     else:
@@ -238,7 +176,8 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
             "eps": config.filter_eps,
             "success_probability": p_succ,
         }
-        (bloch_a, bloch_b), (err_a, err_b) = _bloch_stage(source, transcript)
+        records, (bloch_a, bloch_b), (err_a, err_b) = measure_bloch(source)
+        transcript += records
 
     crit = CriterionState()
     if np.linalg.norm(bloch_a) < thr_a or np.linalg.norm(bloch_b) < thr_b:
@@ -251,8 +190,8 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
         xi_a, phi_a, xi_b, phi_b,
         theta=0.5 * math.acos(min(1.0, float(np.linalg.norm(bloch_a)))),
     )
-    dirs_a = pair_directions(*frame.alice_basis(config.perp_phase))
-    dirs_b = pair_directions(*frame.bob_basis(config.perp_phase))
+    dirs_a = pair_directions(*basis_from_angles(xi_a, phi_a, config.perp_phase))
+    dirs_b = pair_directions(*basis_from_angles(xi_b, phi_b, config.perp_phase))
     details["frame"] = {
         "xi_a": xi_a, "phi_a": phi_a, "xi_b": xi_b, "phi_b": phi_b,
         "theta_estimate": frame.theta,
@@ -276,11 +215,8 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
     except DegenerateDenominator:
         details["cos_phase"] = None
 
-    if config.always_extra:
-        _, detected = verify("x", "y")
-        if not detected:
-            _, detected = verify("y", "x")
-    elif not detected and cos_phase is not None and abs(cos_phase) < config.phase_threshold:
+    small_phase = cos_phase is not None and abs(cos_phase) < config.phase_threshold
+    if config.always_extra or (not detected and small_phase):
         _, detected = verify("x", "y")
         if not detected:
             _, detected = verify("y", "x")

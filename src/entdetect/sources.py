@@ -1,34 +1,40 @@
 """Measurement sources: answer correlation queries exactly or with shot noise.
 
-A source wraps a hidden density matrix and answers expectation-value
-queries for dichotomic observables, either exactly or through the binomial
-finite-statistics model. Detection strategies only call the query methods;
-the .state property exists for oracles and tests.
+A source wraps a hidden density matrix and holds its Pauli tensor (see
+correlations.pauli_tensor), computed at construction and again after every
+filter. A Pauli-index query is a lookup in that tensor; a query along
+arbitrary local directions contracts each party's axis with its unit vector
+(or takes the identity entry for None). In shot mode the exact value then
+goes through the one binomial model, correlations.sample. Detection
+strategies only call the query methods; the .state property exists for
+oracles and tests.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .correlations import CorrelationRecord, Index
+from .correlations import CorrelationRecord, Index, lookup, pauli_tensor, sample
 from .errors import DimensionMismatch, DomainError
-from .linalg import PAULIS, pauli_operator, tensor_product_all
-from .schmidt import FilterOp, apply_filter
-from .states import DensityMatrix, as_generator
+from .linalg import AXES, PAULIS
+from .states import DensityMatrix, FilterOp, apply_filter, as_generator
 
 
-def direction_operator(direction) -> np.ndarray:
-    """The single-qubit observable n . sigma for a unit 3-vector n."""
+def _unit(direction) -> np.ndarray:
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,):
         raise DimensionMismatch("measurement direction must have 3 components")
     norm = float(np.linalg.norm(d))
     if norm < 1e-12:
         raise DomainError("measurement direction has zero length")
-    d = d / norm
+    return d / norm
+
+
+def direction_operator(direction) -> np.ndarray:
+    """The single-qubit observable n . sigma for a unit 3-vector n."""
+    d = _unit(direction)
     return d[0] * PAULIS["x"] + d[1] * PAULIS["y"] + d[2] * PAULIS["z"]
 
 
@@ -39,6 +45,7 @@ class MeasurementSource:
         if shots is not None and shots < 1:
             raise DomainError(f"shots must be >= 1, got {shots}")
         self._state = state
+        self._tensor = pauli_tensor(state)
         self.shots = shots
         self._rng = as_generator(rng) if shots is not None else None
         self.queries = 0
@@ -51,24 +58,14 @@ class MeasurementSource:
     def state(self) -> DensityMatrix:
         return self._state
 
-    def _expectation(self, operator: np.ndarray) -> tuple[float, float]:
+    def _observe(self, t: float) -> tuple[float, float]:
         self.queries += 1
-        t = float(np.clip(np.einsum("ij,ji->", self._state.matrix, operator).real, -1.0, 1.0))
-        if self.shots is None:
-            return t, 0.0
-        n_plus = int(self._rng.binomial(self.shots, (1.0 + t) / 2.0))
-        value = (2 * n_plus - self.shots) / self.shots
-        stderr = math.sqrt(max(0.0, 1.0 - value * value) / self.shots)
-        return value, stderr
+        return (t, 0.0) if self.shots is None else sample(t, self.shots, self._rng)
 
     def measure_index(self, index: Index) -> CorrelationRecord:
         """Correlation along Pauli-labelled axes."""
         index = tuple(index)
-        if len(index) != self.n_qubits:
-            raise DimensionMismatch(
-                f"index length {len(index)} does not match {self.n_qubits} qubits"
-            )
-        value, stderr = self._expectation(pauli_operator(index))
+        value, stderr = self._observe(lookup(self._tensor, index))
         return CorrelationRecord(index, value, stderr, self.shots)
 
     def measure_directions(self, directions: Sequence) -> tuple[float, float]:
@@ -77,12 +74,31 @@ class MeasurementSource:
             raise DimensionMismatch(
                 f"got {len(directions)} directions for {self.n_qubits} qubits"
             )
-        op = tensor_product_all(
-            np.eye(2) if d is None else direction_operator(d) for d in directions
-        )
-        return self._expectation(op)
+        t = self._tensor
+        for d in reversed(directions):
+            t = t[..., 0] if d is None else t[..., 1:] @ _unit(d)
+        return self._observe(float(np.clip(t, -1.0, 1.0)))
 
     def apply_filter(self, f: FilterOp) -> float:
         """Condition the hidden state on a successful local filter."""
         self._state, p_succ = apply_filter(self._state, f)
+        self._tensor = pauli_tensor(self._state)
         return p_succ
+
+
+def measure_bloch(source) -> tuple[list, np.ndarray, np.ndarray]:
+    """Measure every party's local Bloch vector through source.measure_index.
+
+    The queries run x, y, z for party 0, then for party 1, and so on.
+    Returns the records in that order, and their values and standard errors
+    as (n, 3) arrays with one row per party.
+    """
+    n = source.n_qubits
+    records = [
+        source.measure_index(tuple(axis if q == party else "0" for q in range(n)))
+        for party in range(n)
+        for axis in AXES
+    ]
+    values = np.array([r.value for r in records]).reshape(n, 3)
+    errors = np.array([r.stderr for r in records]).reshape(n, 3)
+    return records, values, errors

@@ -1,4 +1,4 @@
-"""State constructors, random ensembles, local frames, and state file I/O.
+"""State constructors, random ensembles, local frames, filters, and state file I/O.
 
 Conventions: the computational basis is identified with linear polarization,
 |0> = |H> and |1> = |V>, so |+45 deg> = (|0> + |1>)/sqrt(2). The singlet is
@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     DomainError,
     NotHermitian,
     ZeroProjection,
+    ZeroSuccess,
 )
 from .linalg import dagger, mat_equal, tensor_product_all
 
@@ -78,10 +80,6 @@ class DensityMatrix:
             raise DomainError(f"minimum eigenvalue {min_eig:.3e} below -{TOL.psd:.1e}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.density()
 
     @property
     def dim(self) -> int:
@@ -259,6 +257,41 @@ def apply_frame(state, frame: LocalFrame):
     if isinstance(state, PureState):
         return PureState(state.n_qubits, u @ state.amplitudes)
     return DensityMatrix(state.n_qubits, u @ state.matrix @ dagger(u))
+
+
+@dataclass(frozen=True, eq=False)
+class FilterOp:
+    """Local non-unitary filter |b0><b0| + eps |b1><b1| on one party."""
+
+    party: int
+    eps: float
+    basis: Optional[np.ndarray] = None  # columns are |b0>, |b1>; default computational
+
+    def __post_init__(self):
+        if not 0.0 < self.eps <= 1.0:
+            raise DomainError(f"filter strength must be in (0, 1], got {self.eps}")
+        basis = np.eye(2, dtype=complex) if self.basis is None else np.asarray(self.basis, dtype=complex)
+        if basis.shape != (2, 2) or not mat_equal(dagger(basis) @ basis, np.eye(2)):
+            raise DomainError("filter basis must be a single-qubit orthonormal pair")
+        object.__setattr__(self, "basis", basis)
+
+    def operator(self) -> np.ndarray:
+        b0, b1 = self.basis[:, 0], self.basis[:, 1]
+        return np.outer(b0, np.conjugate(b0)) + self.eps * np.outer(b1, np.conjugate(b1))
+
+
+def apply_filter(rho: DensityMatrix, f: FilterOp) -> tuple[DensityMatrix, float]:
+    """Conditioned state after a successful filter, and the success probability."""
+    if not 0 <= f.party < rho.n_qubits:
+        raise DimensionMismatch(f"party {f.party} out of range for {rho.n_qubits} qubits")
+    op = tensor_product_all(
+        f.operator() if q == f.party else np.eye(2) for q in range(rho.n_qubits)
+    )
+    conditioned = op @ rho.matrix @ dagger(op)
+    p_succ = float(np.trace(conditioned).real)
+    if p_succ < TOL.zero_projection:
+        raise ZeroSuccess(f"filter success probability {p_succ:.3e} below 1e-12")
+    return DensityMatrix(rho.n_qubits, conditioned / p_succ), p_succ
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -24,14 +24,15 @@ unmeasured indices (lowest spent trade-off budget first).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .correlations import (
     CorrelationRecord,
     CriterionState,
+    DetectionResult,
     Index,
     all_full_indices,
     criterion_add,
@@ -41,6 +42,7 @@ from .correlations import (
     propagated_error,
 )
 from .errors import DimensionMismatch, DomainError, NonFullCorrelation
+from .sources import measure_bloch
 
 _AXIS_POS = {"z": 0, "y": 1, "x": 2}
 
@@ -176,43 +178,14 @@ def priority_order(
     return sorted(remaining, key=lambda idx: (spent(idx), idx))
 
 
-@dataclass(frozen=True, eq=False)
-class DetectionResult:
-    """Transcript and verdict of one detection run.
-
-    records holds every measured correlation in order (local records appear
-    for calibration stages); steps counts the full-correlation measurements
-    that feed the criterion. In shot mode the verdict subtracts
-    error_multiplier * propagated_error from the running sum before
-    comparing against 1.
-    """
-
-    records: Tuple[CorrelationRecord, ...]
-    sum_of_squares: float
-    detected: bool
-    steps: int
-    strategy: str
-    propagated_error: float = 0.0
-    details: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self) -> str:
-        return "detected" if self.detected else "not-detected"
-
-    @property
-    def full_records(self) -> Tuple[CorrelationRecord, ...]:
-        return tuple(r for r in self.records if is_full(r.index))
-
-
-def _result(transcript, crit, detected, strategy, details) -> DetectionResult:
+def _result(crit, detected, strategy) -> DetectionResult:
     return DetectionResult(
-        records=tuple(transcript),
+        records=crit.records,
         sum_of_squares=crit.running_sum,
         detected=detected,
         steps=len(crit.records),
         strategy=strategy,
         propagated_error=propagated_error(crit.records),
-        details=details,
     )
 
 
@@ -234,15 +207,13 @@ def run_tree(
         )
     limit = tree.max_steps if max_steps is None else max_steps
     crit = CriterionState()
-    transcript = []
     strategy = "tree"
     node = tree.root
     while node is not None and len(crit.records) < limit:
         rec = source.measure_index(node.index)
-        transcript.append(rec)
         crit, verdict = criterion_add(crit, rec, error_multiplier)
         if verdict == "detected":
-            return _result(transcript, crit, True, strategy, {})
+            return _result(crit, True, strategy)
         node = node.big if abs(rec.value) >= tree.threshold else node.small
     measured = set(crit.measured_indices)
     queue = priority_order(crit.records, [i for i in all_full_indices(tree.n_qubits) if i not in measured])
@@ -252,11 +223,10 @@ def run_tree(
         if len(crit.records) >= limit:
             break
         rec = source.measure_index(index)
-        transcript.append(rec)
         crit, verdict = criterion_add(crit, rec, error_multiplier)
         if verdict == "detected":
-            return _result(transcript, crit, True, strategy, {})
-    return _result(transcript, crit, False, strategy, {})
+            return _result(crit, True, strategy)
+    return _result(crit, False, strategy)
 
 
 _RENAME_SHIFT = {"x": 0, "z": 1, "y": 2}
@@ -300,35 +270,20 @@ def run_with_bloch_start(
     """Measure the local Bloch vectors, root a tree at the suggested index,
     and run it. The 3n local measurements appear in the transcript but do
     not count as criterion steps."""
-    n = source.n_qubits
-    blochs = []
-    local_records = []
-    for party in range(n):
-        comps = []
-        for axis in ("x", "y", "z"):
-            idx = tuple(axis if q == party else "0" for q in range(n))
-            rec = source.measure_index(idx)
-            local_records.append(rec)
-            comps.append(rec.value)
-        blochs.append(np.array(comps))
+    local_records, blochs, _ = measure_bloch(source)
     root, renamings = starting_index_from_bloch(blochs, dominance_threshold=dominance_threshold)
-    tree = generate_tree(n, root, threshold=threshold, max_depth=max_depth)
+    tree = generate_tree(source.n_qubits, root, threshold=threshold, max_depth=max_depth)
     result = run_tree(source, tree, error_multiplier=error_multiplier, max_steps=max_steps)
-    details = dict(result.details)
-    details.update(
-        {
-            "bloch_vectors": [list(map(float, b)) for b in blochs],
-            "root": format_index(root),
-            "axis_renamings": list(renamings),
-        }
-    )
-    return DetectionResult(
+    details = {
+        **result.details,
+        "bloch_vectors": blochs.tolist(),
+        "root": format_index(root),
+        "axis_renamings": list(renamings),
+    }
+    return replace(
+        result,
         records=tuple(local_records) + result.records,
-        sum_of_squares=result.sum_of_squares,
-        detected=result.detected,
-        steps=result.steps,
         strategy="bloch+" + result.strategy,
-        propagated_error=result.propagated_error,
         details=details,
     )
 

@@ -187,3 +187,62 @@ def test_shot_mode_detect_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_werner_zero_repeats(capsys):
+    assert main(["sweep-werner", "--mode", "shots", "--repeats", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_purity_zero_bins(capsys):
+    assert main(["sweep-purity", "--bins", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"threshold": 0.5, "root": {"big": null, "small": null}}',
+        b'{"threshold": 0.5, "root": {"index": "zz", "big": ["yy"], "small": null}}',
+        b"not a tree {",
+        b"\xff\xfe not utf-8",
+    ],
+    ids=["node-without-index", "node-not-object", "not-json", "not-utf8"],
+)
+def test_detect_malformed_tree_file(tmp_path, capsys, content):
+    path = tmp_path / "bad-tree.json"
+    path.write_bytes(content)
+    assert main(["detect", "bell", "--tree", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_detect_state_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad-state.json"
+    path.write_bytes(b"\xff\xfe not utf-8")
+    assert main(["detect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_error_multiplier_validation(capsys):
+    for value in ("nan", "-5", "inf", "-inf"):
+        assert main(["detect", "bell", "--mode", "shots", f"--error-multiplier={value}"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["detect", "bell", "--mode", "shots", "--error-multiplier", "0"]) == 0
+
+
+def test_module_entry_point():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import entdetect
+
+    src = str(Path(entdetect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "entdetect.cli", "detect", "bell"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "verdict:" in proc.stdout

@@ -240,3 +240,21 @@ def test_index_helpers():
     assert is_full(("x", "y", "z")) and not is_full(("x", "0"))
     assert len(all_full_indices(3)) == 27
     assert all_full_indices(2)[0] == ("z", "z")
+
+
+def test_pauli_tensor_matches_operator_oracle():
+    from itertools import product
+
+    from entdetect.correlations import pauli_tensor
+    from entdetect.linalg import PAULI_LABELS, pauli_operator
+
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            rho = random_mixed(n, rng, rank=int(rng.integers(1, 2**n + 1)))
+            t = pauli_tensor(rho)
+            assert t.shape == (4,) * n
+            for idx in product(PAULI_LABELS, repeat=n):
+                pos = tuple(PAULI_LABELS.index(label) for label in idx)
+                expect = np.einsum("ij,ji->", rho.matrix, pauli_operator(idx)).real
+                assert abs(t[pos] - expect) < 1e-12

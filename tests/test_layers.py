@@ -1,0 +1,38 @@
+"""Imports inside the package run one way, from the foundations up to the CLI."""
+
+import ast
+from pathlib import Path
+
+import entdetect
+
+# A module may import only modules of an earlier layer.
+LAYERS = [
+    {"config", "errors"},
+    {"linalg"},
+    {"states"},
+    {"correlations"},
+    {"oracles", "sources"},
+    {"schmidt", "tree"},
+    {"cli"},
+]
+
+
+def _relative_imports(path: Path, modules: set) -> set:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names if a.name in modules)
+    return found
+
+
+def test_imports_follow_layer_order():
+    package = Path(entdetect.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    rank = {m: k for k, layer in enumerate(LAYERS) for m in layer}
+    assert modules == set(rank), "every module needs a layer"
+    for module in sorted(modules):
+        for dep in _relative_imports(package / f"{module}.py", modules):
+            assert rank[dep] < rank[module], f"{module} imports {dep}"
