@@ -166,7 +166,10 @@ class CriterionState:
 
     @property
     def measured_indices(self) -> Tuple[Index, ...]:
-        return tuple(r.index for r in self.records)
+        # A list first: tuple() of a generator resizes the tuple, and CPython
+        # keeps the resized tuples on its per-size free lists, which grows
+        # the resident memory of a long run.
+        return tuple([r.index for r in self.records])
 
 
 def criterion_add(
@@ -179,7 +182,7 @@ def criterion_add(
     """
     if not is_full(record.index):
         raise NonFullCorrelation(f"index {format_index(record.index)} contains the identity")
-    if record.index in state.measured_indices:
+    if any(r.index == record.index for r in state.records):
         raise DuplicateIndex(f"index {format_index(record.index)} already measured")
     new = CriterionState(state.records + (record,), state.running_sum + record.value**2)
     margin = new.running_sum - error_multiplier * propagated_error(new.records)
@@ -211,7 +214,7 @@ class DetectionResult:
 
     @property
     def full_records(self) -> Tuple[CorrelationRecord, ...]:
-        return tuple(r for r in self.records if is_full(r.index))
+        return tuple([r for r in self.records if is_full(r.index)])  # see measured_indices
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,7 +74,7 @@ def bloch_to_basis(alpha, min_norm: float = 1e-9) -> tuple[float, float]:
     """Basis angles (xi, phi) whose |a> points along the Bloch direction alpha.
 
     alpha = (sin 2xi cos phi, sin 2xi sin phi, cos 2xi) after normalization;
-    xi lies in [0, pi/2] and phi in [0, 2 pi).
+    xi lies in [0, pi/2] and phi in [0, 2 pi); phi is 0 at the poles.
     """
     a = np.asarray(alpha, dtype=float)
     if a.shape != (3,):
@@ -84,6 +84,9 @@ def bloch_to_basis(alpha, min_norm: float = 1e-9) -> tuple[float, float]:
         raise DegenerateDirection(f"Bloch norm {norm:.3e} below {min_norm:.1e}")
     a = a / norm
     xi = 0.5 * math.acos(min(1.0, max(-1.0, a[2])))
+    # At a pole the transverse part is rounding noise and phi is arbitrary.
+    if math.hypot(a[0], a[1]) < TOL.equality:
+        return xi, 0.0
     phi = math.atan2(a[1], a[0]) % (2.0 * math.pi)
     return xi, phi
 

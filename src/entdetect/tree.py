@@ -17,6 +17,13 @@ Child selection among the allowed candidates is deterministic:
 3. break ties by the cyclic letter distance from the parent index,
    position by position, with the axis cycle z -> y -> x.
 
+A child depends only on its path, so a generated tree computes each child
+when it is first read: a run computes only the nodes it walks, a full
+traversal expands the whole plan. Indices are (x, z) bitmasks (Aaronson &
+Gottesman, PRA 70, 052328 (2004)): two indices anti-commute when
+popcount((x1 & z2) ^ (z1 & x2)) is odd, and their product, up to phase, is
+the XOR of the masks.
+
 On tree exhaustion the run continues with a priority-ordered queue over the
 unmeasured indices (lowest spent trade-off budget first).
 """
@@ -24,7 +31,9 @@ unmeasured indices (lowest spent trade-off budget first).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -45,40 +54,68 @@ from .errors import DimensionMismatch, DomainError, NonFullCorrelation
 from .sources import measure_bloch
 
 _AXIS_POS = {"z": 0, "y": 1, "x": 2}
+_XZ_BITS = {"0": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
+
+
+@cache
+def _masks(index: Index) -> tuple[int, int]:
+    """(x, z) bitmasks of an index: bit q is set when the label of party q has
+    an X (a Z) part; y has both."""
+    x = z = 0
+    for q, label in enumerate(index):
+        bx, bz = _XZ_BITS[label]
+        x |= bx << q
+        z |= bz << q
+    return x, z
+
+
+def _anti(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Anti-commutation of two indices given as (x, z) bitmasks."""
+    return bool(((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1)
 
 
 def anticommute(a: Index, b: Index) -> bool:
-    """True when the product operators anti-commute.
-
-    Counts positions where both labels are non-identity and differ; an odd
-    count means anti-commutation.
-    """
+    """True when the product operators anti-commute."""
     if len(a) != len(b):
         raise DimensionMismatch(f"index lengths differ: {len(a)} vs {len(b)}")
-    differing = sum(1 for x, y in zip(a, b) if x != "0" and y != "0" and x != y)
-    return differing % 2 == 1
-
-
-def _pauli_product(a: Index, b: Index) -> Index:
-    """Index of the operator product, phases ignored ("0" where they cancel)."""
-    out = []
-    for x, y in zip(a, b):
-        if x == y:
-            out.append("0")
-        elif x == "0":
-            out.append(y)
-        elif y == "0":
-            out.append(x)
-        else:
-            out.append(next(c for c in "xyz" if c not in (x, y)))
-    return tuple(out)
+    return _anti(_masks(tuple(a)), _masks(tuple(b)))
 
 
 @dataclass
 class TreeNode:
+    """A node with explicit children, as read from a tree file."""
+
     index: Index
     big: Optional["TreeNode"] = None
     small: Optional["TreeNode"] = None
+
+
+class _PlannedNode(TreeNode):
+    """A node of a generated tree: each child is the best candidate after
+    the node's path, computed the first time it is read and then kept."""
+
+    def __init__(self, index: Index, ancestors: list, remaining: frozenset, depth_left: int):
+        self.index = index
+        self._ancestors = ancestors  # (index, outcome_big) pairs above this node
+        self._remaining = remaining
+        self._depth_left = depth_left
+
+    def _child(self, outcome_big: bool) -> Optional[TreeNode]:
+        if self._depth_left <= 0:
+            return None
+        path = self._ancestors + [(self.index, outcome_big)]
+        choice = _best_child(path, self._remaining)
+        if choice is None:
+            return None
+        return _PlannedNode(choice, path, self._remaining - {choice}, self._depth_left - 1)
+
+    @cached_property
+    def big(self) -> Optional[TreeNode]:
+        return self._child(True)
+
+    @cached_property
+    def small(self) -> Optional[TreeNode]:
+        return self._child(False)
 
 
 @dataclass
@@ -86,62 +123,52 @@ class DecisionTree:
     root: TreeNode
     n_qubits: int
     threshold: float = 0.5
-    max_steps: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise DomainError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.max_steps is None:
-            self.max_steps = 3**self.n_qubits
 
 
-def _candidate_key(candidate: Index, parent: Index, big_anc, small_anc):
-    forced_small = 0
-    for a in big_anc:
-        for b in small_anc:
-            if not anticommute(a, b) and _pauli_product(a, b) == candidate:
-                forced_small += 1
-    spent = sum(1 for s in small_anc if anticommute(candidate, s))
-    dkey = tuple((_AXIS_POS[c] - _AXIS_POS[p]) % 3 for c, p in zip(candidate, parent))
-    return (forced_small, spent, dkey)
+def _count_anti(mask: tuple[int, int], masks) -> int:
+    """How many of the given (x, z) bitmasks anti-commute with mask."""
+    x, z = mask
+    return sum(((x & mz) ^ (z & mx)).bit_count() & 1 for mx, mz in masks)
+
+
+@cache
+def _distance_from(parent: Index) -> dict[Index, int]:
+    """Cyclic letter distance (z -> y -> x) of every full index from parent,
+    position by position, read as one base-3 number so that it orders like
+    the tuple of per-position distances."""
+    distance = {}
+    for candidate in all_full_indices(len(parent)):
+        d = 0
+        for c, p in zip(candidate, parent):
+            d = 3 * d + (_AXIS_POS[c] - _AXIS_POS[p]) % 3
+        distance[candidate] = d
+    return distance
+
+
+def _candidate_key(candidate: Index, distance: dict, forced_small: Counter, small_masks):
+    mask = _masks(candidate)
+    return (forced_small[mask], _count_anti(mask, small_masks), distance[candidate])
 
 
 def _best_child(path, remaining) -> Optional[Index]:
-    parent = path[-1][0]
-    big_anc = [idx for idx, big in path if big]
-    small_anc = [idx for idx, big in path if not big]
-    allowed = [c for c in remaining if all(not anticommute(c, a) for a in big_anc)]
+    big_masks = [_masks(idx) for idx, big in path if big]
+    small_masks = [_masks(idx) for idx, big in path if not big]
+    allowed = [c for c in remaining if not _count_anti(_masks(c), big_masks)]
     if not allowed:
         return None
-    return min(allowed, key=lambda c: _candidate_key(c, parent, big_anc, small_anc))
+    # How often each index is the product of a commuting (big, small) pair.
+    forced_small = Counter(
+        (a[0] ^ b[0], a[1] ^ b[1]) for a in big_masks for b in small_masks if not _anti(a, b)
+    )
+    distance = _distance_from(path[-1][0])
+    return min(allowed, key=lambda c: _candidate_key(c, distance, forced_small, small_masks))
 
 
-def _grow(path, remaining, depth_left) -> tuple[Optional[TreeNode], Optional[TreeNode]]:
-    """Children for the node at the end of `path` (big branch, small branch)."""
-    children = []
-    for outcome_big in (True, False):
-        extended = path[:-1] + [(path[-1][0], outcome_big)]
-        choice = None if depth_left <= 0 else _best_child(extended, remaining)
-        if choice is None:
-            children.append(None)
-            continue
-        node = TreeNode(choice)
-        node.big, node.small = _grow(
-            extended + [(choice, True)], remaining - {choice}, depth_left - 1
-        )
-        children.append(node)
-    return children[0], children[1]
-
-
-def generate_tree(
-    n: int, root: Index, *, threshold: float = 0.5, max_depth: Optional[int] = None
-) -> DecisionTree:
-    """Build the full measurement plan rooted at a given full index.
-
-    max_depth bounds the path length; the default is the full 3^n for one or
-    two qubits and 8 for more (the run continues with the priority queue
-    past the leaves, so a capped tree loses no coverage).
-    """
+def _plan(n: int, root: Index, threshold: float, max_depth: Optional[int]) -> DecisionTree:
     root = tuple(root)
     if len(root) != n:
         raise DimensionMismatch(f"root index length {len(root)} does not match n={n}")
@@ -149,10 +176,21 @@ def generate_tree(
         raise NonFullCorrelation("tree root must be a full correlation")
     if max_depth is None:
         max_depth = 3**n if n <= 2 else 8
-    node = TreeNode(root)
-    remaining = set(all_full_indices(n)) - {root}
-    node.big, node.small = _grow([(root, True)], remaining, max_depth - 1)
-    return DecisionTree(node, n, threshold)
+    remaining = frozenset(all_full_indices(n)) - {root}
+    return DecisionTree(_PlannedNode(root, [], remaining, max_depth - 1), n, threshold)
+
+
+def generate_tree(
+    n: int, root: Index, *, threshold: float = 0.5, max_depth: Optional[int] = None
+) -> DecisionTree:
+    """The measurement plan rooted at a given full index.
+
+    max_depth bounds the path length; the default is the full 3^n for one or
+    two qubits and 8 for more (the run continues with the priority queue
+    past the leaves, so a capped tree loses no coverage). Children are
+    computed when first read.
+    """
+    return _plan(n, root, threshold, max_depth)
 
 
 def default_tree_2q(threshold: float = 0.5) -> DecisionTree:
@@ -170,10 +208,11 @@ def priority_order(
     exactly the row and column partners). Lower priority values are measured
     first; ties break lexicographically (x < y < z).
     """
-    measured = list(measured)
+    measured = [(_masks(r.index), r.value**2) for r in measured]
 
     def spent(idx: Index) -> float:
-        return sum(r.value**2 for r in measured if anticommute(r.index, idx))
+        mask = _masks(idx)
+        return sum(v2 for m, v2 in measured if _anti(m, mask))
 
     return sorted(remaining, key=lambda idx: (spent(idx), idx))
 
@@ -205,7 +244,7 @@ def run_tree(
         raise DimensionMismatch(
             f"source has {source.n_qubits} qubits, tree expects {tree.n_qubits}"
         )
-    limit = tree.max_steps if max_steps is None else max_steps
+    limit = 3**tree.n_qubits if max_steps is None else max_steps
     crit = CriterionState()
     strategy = "tree"
     node = tree.root
@@ -215,7 +254,7 @@ def run_tree(
         if verdict == "detected":
             return _result(crit, True, strategy)
         node = node.big if abs(rec.value) >= tree.threshold else node.small
-    measured = set(crit.measured_indices)
+    measured = {r.index for r in crit.records}
     queue = priority_order(crit.records, [i for i in all_full_indices(tree.n_qubits) if i not in measured])
     if queue:
         strategy = "tree+priority"
@@ -272,7 +311,7 @@ def run_with_bloch_start(
     not count as criterion steps."""
     local_records, blochs, _ = measure_bloch(source)
     root, renamings = starting_index_from_bloch(blochs, dominance_threshold=dominance_threshold)
-    tree = generate_tree(source.n_qubits, root, threshold=threshold, max_depth=max_depth)
+    tree = _plan(source.n_qubits, root, threshold, max_depth)
     result = run_tree(source, tree, error_multiplier=error_multiplier, max_steps=max_steps)
     details = {
         **result.details,

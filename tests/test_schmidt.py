@@ -89,6 +89,13 @@ def test_bloch_to_basis_round_trip():
         assert 0 <= xi <= math.pi / 2 and 0 <= phi < 2 * math.pi
 
 
+def test_bloch_to_basis_pole_phase_is_zero():
+    # at a pole the transverse components are rounding noise, not a phase
+    for v in ([1e-17, -1e-17, 1], [-1e-17, 1e-17, 1], [0, 0, -1]):
+        _, phi = bloch_to_basis(v)
+        assert phi == 0
+
+
 def test_bloch_to_basis_degenerate():
     with pytest.raises(DegenerateDirection):
         bloch_to_basis([0, 0, 0])

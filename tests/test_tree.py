@@ -1,8 +1,15 @@
+import hashlib
+import json
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entdetect import tree as tree_module
 from entdetect import (
     CorrelationRecord,
+    DensityMatrix,
     DimensionMismatch,
     MeasurementSource,
     all_full_indices,
@@ -16,6 +23,7 @@ from entdetect import (
     generate_tree,
     iter_paths,
     make_colored,
+    make_dicke,
     make_g,
     make_w,
     make_werner,
@@ -66,6 +74,42 @@ def test_anticommute_matches_matrix_oracle():
             assert anticommute(a, b) == anti
 
 
+_LABEL_OF_BITS = {(0, 0): "0", (1, 0): "x", (1, 1): "y", (0, 1): "z"}
+
+
+def _xor_product(a, b):
+    (xa, za), (xb, zb) = tree_module._masks(a), tree_module._masks(b)
+    x, z = xa ^ xb, za ^ zb
+    return tuple(_LABEL_OF_BITS[(x >> q & 1, z >> q & 1)] for q in range(len(a)))
+
+
+def _check_against_matrices(a, b):
+    pa, pb = pauli_operator(a), pauli_operator(b)
+    assert anticommute(a, b) == bool(np.max(np.abs(pa @ pb + pb @ pa)) < 1e-12)
+    # pa pb equals the XOR product up to a phase in {1, -1, i, -i}
+    prod = pauli_operator(_xor_product(a, b))
+    phase = np.trace(prod.conj().T @ pa @ pb) / len(prod)
+    assert abs(abs(phase) - 1) < 1e-12
+    assert np.allclose(pa @ pb, phase * prod, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_index_algebra_matches_matrices_all_pairs(n):
+    indices = list(product("0xyz", repeat=n))
+    for a in indices:
+        for b in indices:
+            _check_against_matrices(a, b)
+
+
+_INDEX_4Q = st.tuples(*[st.sampled_from("0xyz")] * 4)
+
+
+@settings(deadline=None)
+@given(_INDEX_4Q, _INDEX_4Q)
+def test_index_algebra_matches_matrices_4q(a, b):
+    _check_against_matrices(a, b)
+
+
 def test_default_tree_structure():
     tree = default_tree_2q()
     assert tree.root.index == ("z", "z")
@@ -74,7 +118,8 @@ def test_default_tree_structure():
     assert tree.root.big.small.index == ("y", "x")
     assert tree.root.small.big.index == ("x", "z")
     assert tree.threshold == 0.5
-    assert tree.max_steps == 9
+    # an exact run that never detects stops after 3^2 steps
+    assert run_tree(MeasurementSource(make_werner(0.5)), tree).steps == 9
 
 
 def test_worked_trace_two_steps():
@@ -102,6 +147,47 @@ def test_generate_tree_big_children():
     assert generate_tree(2, ("z", "z")).root.big.index == ("y", "y")
     assert generate_tree(3, ("x", "x", "x")).root.big.index == ("x", "z", "z")
     assert generate_tree(3, ("z", "z", "z")).root.big.index == ("z", "y", "y")
+
+
+# SHA-256 of json.dumps(tree_to_dict(generate_tree(n, root))), pinned from
+# the eager generator: lazy expansion must serialise byte-identical plans.
+_TREE_DIGESTS = {
+    (2, "zz"): "aedd3ca7593f5e64031a88e93ccbeb1de4b7dfdf7803cd31dd2188a27793638a",
+    (2, "xy"): "168cc84712d4bad8d96447ea5b279fbe6de0a306ae87286ee9c028aa44451192",
+    (3, "xxx"): "8988259e55eb415bb43e44ae3b4c415abafa37e21509f1588b9101a621eb71ae",
+    (3, "zzz"): "39c574481d981befcf8da386789214e2dc076ecadf1277a74eb0271eda7258b0",
+    (4, "zzzz"): "a6251440debaba32784cde1b835ca0c0a344b30a43e4132cc463530a8de572c7",
+    (4, "xyzx"): "296e98a6a46d1d586498a3705b445b96b617332d57ded4ef9fc66558ec56cdb4",
+}
+
+
+@pytest.mark.parametrize("n, root", list(_TREE_DIGESTS))
+def test_generated_tree_json_pinned(n, root):
+    text = json.dumps(tree_to_dict(generate_tree(n, tuple(root))))
+    assert hashlib.sha256(text.encode()).hexdigest() == _TREE_DIGESTS[(n, root)]
+
+
+def test_bloch_start_computes_only_the_walked_path(monkeypatch):
+    calls = []
+    best_child = tree_module._best_child
+
+    def counting(path, remaining):
+        calls.append(len(path))
+        return best_child(path, remaining)
+
+    monkeypatch.setattr(tree_module, "_best_child", counting)
+    # Dicke 4:2 is detected within the tree; the maximally mixed state walks
+    # a whole path to a leaf and then the priority queue
+    for rho in (make_dicke(4, 2).density(), DensityMatrix(4, np.eye(16) / 16)):
+        calls.clear()
+        result = run_with_bloch_start(MeasurementSource(rho))
+        assert 0 < len(calls) <= 8  # the default max_depth at four qubits
+        # the same measurements as a walk over the fully expanded plan
+        full = generate_tree(4, tuple(result.details["root"]))
+        tree_to_dict(full)  # expands every node
+        expected = run_tree(MeasurementSource(rho), full)
+        assert [r.index for r in result.full_records] == [r.index for r in expected.records]
+        assert result.detected == expected.detected
 
 
 def test_generated_trees_satisfy_path_invariants():
