@@ -1,7 +1,10 @@
-"""Command-line front end: detection runs, named-state demos, parameter sweeps.
+"""Command-line front end: argument parsing and output for detection runs,
+named-state demos and parameter sweeps.
 
 Subcommands: detect | schmidt | sweep-werner | sweep-purity | state-gen |
-tree-gen. Every command is deterministic under a fixed --seed, shot mode
+tree-gen. The sweeps themselves live in entdetect.sweeps; ExperimentConfig
+holds the settings the commands share, and file paths stay on the parsed
+arguments. Every command is deterministic under a fixed --seed, shot mode
 included; sweep samples draw their seeds from a spawned SeedSequence.
 Exit codes: 0 = ran (the verdict is data in the output), 2 = input error,
 3 = numerical failure.
@@ -13,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,7 +32,6 @@ from .errors import (
     UnsupportedDimension,
     ZeroSuccess,
 )
-from .oracles import ppt_verdict
 from .schmidt import ProtocolConfig, run_protocol
 from .sources import MeasurementSource
 from .states import (
@@ -44,11 +45,17 @@ from .states import (
     make_g,
     make_w,
     make_werner,
-    purity,
     random_frame,
-    random_mixed,
     save_state,
     singlet,
+)
+# SweepResult and SweepRow are not used here; they stay importable from the CLI.
+from .sweeps import (  # noqa: F401
+    ExperimentConfig,
+    SweepResult,
+    SweepRow,
+    sweep_purity,
+    sweep_werner,
 )
 from .tree import (
     DecisionTree,
@@ -62,61 +69,6 @@ from .tree import (
 )
 
 DEFAULT_SHOTS = 4500
-MIN_SHOTS = 100
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated run settings shared by the commands."""
-
-    shots: Optional[int] = None  # None = exact mode
-    seed: int = 0
-    threshold: float = 0.5
-    error_multiplier: float = 1.0
-    filter_eps: float = 0.5
-    tree_path: Optional[str] = None
-    frame_seed: Optional[int] = None
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.shots is not None and self.shots < MIN_SHOTS:
-            raise DomainError(f"shot mode needs at least {MIN_SHOTS} shots, got {self.shots}")
-        if not 0.0 < self.threshold < 1.0:
-            raise DomainError(f"threshold must be in (0, 1), got {self.threshold}")
-        if not 0.0 <= self.error_multiplier < math.inf:
-            raise DomainError(f"error multiplier must be finite and >= 0, got {self.error_multiplier}")
-
-
-@dataclass
-class SweepRow:
-    parameter: float
-    fraction: float
-    mean_steps: Optional[float]
-    n_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise DomainError(f"fraction {self.fraction} outside [0, 1]")
-        if self.n_samples <= 0:
-            raise DomainError("each sweep row needs at least one sample")
-
-
-@dataclass
-class SweepResult:
-    rows: list = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        lines = ["parameter,fraction,mean_steps,n_samples,seed"]
-        for r in self.rows:
-            steps = "" if r.mean_steps is None else f"{r.mean_steps:.10g}"
-            lines.append(
-                f"{r.parameter:.10g},{r.fraction:.10g},{steps},{r.n_samples},{r.seed}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps([asdict(r) for r in self.rows])
 
 
 def parse_mode(text: str) -> Optional[int]:
@@ -166,10 +118,10 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     raise ParseError(f"unknown state spec {spec!r}")
 
 
-def _prepare_state(spec: str, cfg: ExperimentConfig) -> DensityMatrix:
-    state = parse_state_spec(spec)
-    if cfg.frame_seed is not None:
-        state = apply_frame(state, random_frame(state.n_qubits, cfg.frame_seed))
+def _prepare_state(args) -> DensityMatrix:
+    state = parse_state_spec(args.state)
+    if args.frame_seed is not None:
+        state = apply_frame(state, random_frame(state.n_qubits, args.frame_seed))
     return state
 
 
@@ -245,87 +197,6 @@ def detect_once(
     )
 
 
-def sweep_werner(
-    p_values, cfg: ExperimentConfig, repeats: int = 20
-) -> SweepResult:
-    """Detection across the Werner family, one row per mixing probability."""
-    if repeats < 1:
-        raise DomainError(f"repeats must be >= 1, got {repeats}")
-    result = SweepResult()
-    tree = default_tree_2q(cfg.threshold)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(p_values))
-    for p, seq in zip(p_values, seeds):
-        state = make_werner(p)
-        n_runs = 1 if cfg.shots is None else repeats
-        rng = np.random.default_rng(seq)
-        detected, steps = 0, []
-        for _ in range(n_runs):
-            source = MeasurementSource(state, cfg.shots, rng)
-            run = run_tree(source, tree, error_multiplier=cfg.error_multiplier)
-            if run.detected:
-                detected += 1
-                steps.append(run.steps)
-        result.rows.append(
-            SweepRow(
-                parameter=float(p),
-                fraction=detected / n_runs,
-                mean_steps=(sum(steps) / len(steps)) if steps else None,
-                n_samples=n_runs,
-                seed=cfg.seed,
-            )
-        )
-    return result
-
-
-def sweep_purity(
-    n_samples: int, cfg: ExperimentConfig, bins: int = 10
-) -> SweepResult:
-    """Detection fraction among PPT-entangled Ginibre states, binned by purity.
-
-    Samples draw a uniformly random Ginibre rank from 1..4 so every purity
-    bin between 0.25 and 1 is populated; rank-1 draws are pure states.
-    Bins that contain no entangled sample are dropped (every emitted row has
-    a positive sample count).
-    """
-    if n_samples < 1000:
-        raise DomainError(f"purity sweep needs at least 1000 samples, got {n_samples}")
-    if bins < 1:
-        raise DomainError(f"purity sweep needs at least one bin, got {bins}")
-    tree = default_tree_2q(cfg.threshold)
-    edges = np.linspace(0.25, 1.0, bins + 1)
-    entangled_count = np.zeros(bins, dtype=int)
-    detected_count = np.zeros(bins, dtype=int)
-    step_sums = np.zeros(bins)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_samples)
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        rank = int(rng.integers(1, 5))
-        state = random_mixed(2, rng, rank=rank)
-        if not ppt_verdict(state).entangled:
-            continue
-        b = min(int((purity(state) - 0.25) / (0.75 / bins)), bins - 1)
-        entangled_count[b] += 1
-        source = MeasurementSource(state, cfg.shots, rng)
-        run = run_tree(source, tree, error_multiplier=cfg.error_multiplier)
-        if run.detected:
-            detected_count[b] += 1
-            step_sums[b] += run.steps
-    result = SweepResult()
-    for b in range(bins):
-        if entangled_count[b] == 0:
-            continue
-        result.rows.append(
-            SweepRow(
-                parameter=float((edges[b] + edges[b + 1]) / 2),
-                fraction=detected_count[b] / entangled_count[b],
-                mean_steps=(step_sums[b] / detected_count[b]) if detected_count[b] else None,
-                n_samples=int(entangled_count[b]),
-                seed=cfg.seed,
-            )
-        )
-    return result
-
-
 def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         shots=parse_mode(args.mode),
@@ -333,33 +204,30 @@ def _config_from_args(args) -> ExperimentConfig:
         threshold=args.threshold,
         error_multiplier=args.error_multiplier,
         filter_eps=getattr(args, "filter_eps", 0.5),
-        tree_path=getattr(args, "tree", None),
-        frame_seed=getattr(args, "frame_seed", None),
-        out=args.out,
     )
 
 
 def cmd_detect(args) -> int:
     cfg = _config_from_args(args)
-    state = _prepare_state(args.state, cfg)
+    state = _prepare_state(args)
     tree = None
-    if cfg.tree_path:
+    if args.tree:
         try:
-            tree = load_tree(cfg.tree_path)
+            tree = load_tree(args.tree)
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
-            raise ParseError(f"malformed tree file {cfg.tree_path}: {exc}") from exc
+            raise ParseError(f"malformed tree file {args.tree}: {exc}") from exc
     elif args.root:
         tree = generate_tree(state.n_qubits, parse_index(args.root), threshold=cfg.threshold)
     result = detect_once(state, cfg, tree)
     _print_summary(result)
-    if cfg.out:
-        _emit(json.dumps(_result_payload(result, cfg), indent=2) + "\n", cfg.out)
+    if args.out:
+        _emit(json.dumps(_result_payload(result, cfg), indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_schmidt(args) -> int:
     cfg = _config_from_args(args)
-    state = _prepare_state(args.state, cfg)
+    state = _prepare_state(args)
     if state.n_qubits != 2:
         raise ParseError("the schmidt command needs a two-qubit state")
     source = MeasurementSource(state, cfg.shots, np.random.default_rng(cfg.seed))
@@ -373,8 +241,8 @@ def cmd_schmidt(args) -> int:
     if result.details.get("filter"):
         p = result.details["filter"]["success_probability"]
         print(f"filter applied (eps={protocol.filter_eps}, success probability {p:.4f})")
-    if cfg.out:
-        _emit(json.dumps(_result_payload(result, cfg), indent=2) + "\n", cfg.out)
+    if args.out:
+        _emit(json.dumps(_result_payload(result, cfg), indent=2) + "\n", args.out)
     return 0
 
 
@@ -385,14 +253,14 @@ def cmd_sweep_werner(args) -> int:
     count = int(math.floor((args.p_max - args.p_min) / args.step + 1e-9)) + 1
     grid = [round(args.p_min + i * args.step, 12) for i in range(count)]
     sweep = sweep_werner(grid, cfg, repeats=args.repeats)
-    _emit(sweep.to_json() + "\n" if args.format == "json" else sweep.to_csv(), cfg.out)
+    _emit(sweep.to_json() + "\n" if args.format == "json" else sweep.to_csv(), args.out)
     return 0
 
 
 def cmd_sweep_purity(args) -> int:
     cfg = _config_from_args(args)
     sweep = sweep_purity(args.samples, cfg, bins=args.bins)
-    _emit(sweep.to_json() + "\n" if args.format == "json" else sweep.to_csv(), cfg.out)
+    _emit(sweep.to_json() + "\n" if args.format == "json" else sweep.to_csv(), args.out)
     return 0
 
 

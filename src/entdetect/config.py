@@ -17,6 +17,13 @@ class Tolerances:
                     as genuinely negative (entangled verdict)
     zero_projection norms below this are treated as failed projections
     phase_denominator  minimum value of 1 - |bloch|^2 for phase estimation
+    criterion       (derived: 3 * equality) detection needs a margin above
+                    1 + criterion. Validation accepts a density matrix whose
+                    trace t is within equality of 1, and every correlation of
+                    such a matrix is t times that of the normalized state, so
+                    a product state can reach a sum of t^2 <= (1 + equality)^2
+                    < 1 + 3 * equality; rounding of the sum itself (1e-14 at
+                    most over 81 terms) lies far below that.
     """
 
     equality: float = 1e-9
@@ -25,6 +32,10 @@ class Tolerances:
     pt_negativity: float = 1e-10
     zero_projection: float = 1e-12
     phase_denominator: float = 1e-6
+
+    @property
+    def criterion(self) -> float:
+        return 3.0 * self.equality
 
 
 TOL = Tolerances()

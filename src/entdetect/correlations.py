@@ -6,9 +6,10 @@ turns a state into all 4^n values Tr[rho P] at once, as one product against
 a cached stack of Pauli operators; every exact query (correlation,
 bloch_vector, full_tensor, the measurement sources) is a lookup in or a
 contraction of that tensor, and sample is the one binomial model of a
-finite-statistics measurement. The criterion accumulator declares detection
-as soon as the sum of squared full correlations exceeds 1 (minus a
-configurable multiple of the propagated error in shot mode).
+finite-statistics measurement; pauli_tensors does the same for a whole stack
+of states. The criterion accumulator declares detection as soon as the sum
+of squared full correlations exceeds 1 (minus a configurable multiple of the
+propagated error in shot mode), by the one rule criterion_met.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .config import MAX_QUBITS
+from .config import MAX_QUBITS, TOL
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -73,15 +74,26 @@ def _pauli_rows(n: int) -> np.ndarray:
     return rows
 
 
+def pauli_tensors(matrices: np.ndarray) -> np.ndarray:
+    """Every Tr[rho P_k] of each n-qubit matrix of a (..., 2^n, 2^n) stack,
+    as a (..., 4^n) array clipped to [-1, 1], in the order of _pauli_rows.
+
+    The product is one matrix-vector product per matrix, so a state's values
+    do not depend on how many others share the stack.
+    """
+    d = matrices.shape[-1]
+    rows = _pauli_rows(d.bit_length() - 1)
+    t = (rows @ matrices.reshape(matrices.shape[:-2] + (d * d, 1)))[..., 0].real
+    return np.clip(t, -1.0, 1.0)
+
+
 def pauli_tensor(rho: DensityMatrix) -> np.ndarray:
     """All 4^n expectation values Tr[rho P] as a (4,)*n array.
 
     Axis q runs over the labels 0, x, y, z of party q; the all-identity
     entry is the trace, 1.
     """
-    n = rho.n_qubits
-    t = (_pauli_rows(n) @ rho.matrix.ravel()).real
-    return np.clip(t, -1.0, 1.0).reshape((4,) * n)
+    return pauli_tensors(rho.matrix).reshape((4,) * rho.n_qubits)
 
 
 def lookup(t: np.ndarray, index: Index) -> float:
@@ -152,17 +164,37 @@ def propagated_error(records: Iterable[CorrelationRecord]) -> float:
     the second-order term keeps the error finite when a sampled value lands
     at zero, where the first-order propagation would vanish.
     """
-    return math.sqrt(
-        sum(4.0 * (r.value * r.stderr) ** 2 + 2.0 * r.stderr**4 for r in records)
-    )
+    total = 0.0
+    for r in records:  # left to right, as CriterionState.variance adds
+        total += _variance(r)
+    return math.sqrt(total)
+
+
+def _variance(r: CorrelationRecord) -> float:
+    return 4.0 * (r.value * r.stderr) ** 2 + 2.0 * r.stderr**4
+
+
+def criterion_met(margin):
+    """The detection rule: a margin (running sum minus the error allowance)
+    above 1 + TOL.criterion. Accepts a float or an array of margins."""
+    return margin > 1.0 + TOL.criterion
 
 
 @dataclass(frozen=True)
 class CriterionState:
-    """Immutable accumulator for the sum-of-squares entanglement criterion."""
+    """Immutable accumulator for the sum-of-squares entanglement criterion.
+
+    variance is the summed error variance of the records, added in record
+    order, so that sqrt(variance) equals propagated_error(records).
+    """
 
     records: Tuple[CorrelationRecord, ...] = ()
     running_sum: float = 0.0
+    variance: float = 0.0
+
+    @property
+    def error(self) -> float:
+        return math.sqrt(self.variance)
 
     @property
     def measured_indices(self) -> Tuple[Index, ...]:
@@ -177,16 +209,21 @@ def criterion_add(
 ) -> tuple[CriterionState, str]:
     """Add one full-correlation record; returns (new state, verdict).
 
-    Verdict is "detected" when the running sum exceeds 1 after subtracting
-    error_multiplier times the propagated error, else "undecided".
+    Verdict is "detected" when the running sum, after subtracting
+    error_multiplier times the propagated error, passes criterion_met; else
+    "undecided".
     """
     if not is_full(record.index):
         raise NonFullCorrelation(f"index {format_index(record.index)} contains the identity")
     if any(r.index == record.index for r in state.records):
         raise DuplicateIndex(f"index {format_index(record.index)} already measured")
-    new = CriterionState(state.records + (record,), state.running_sum + record.value**2)
-    margin = new.running_sum - error_multiplier * propagated_error(new.records)
-    return new, ("detected" if margin > 1.0 else "undecided")
+    new = CriterionState(
+        state.records + (record,),
+        state.running_sum + record.value**2,
+        state.variance + _variance(record),
+    )
+    margin = new.running_sum - error_multiplier * new.error
+    return new, ("detected" if criterion_met(margin) else "undecided")
 
 
 @dataclass(frozen=True, eq=False)

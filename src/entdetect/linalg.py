@@ -69,14 +69,17 @@ def pauli_operator(index) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m, atol: float = TOL.equality) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending.
+    """Real spectrum of a Hermitian matrix, ascending; for a (..., d, d)
+    stack, the spectrum of each matrix along the last axis.
 
     Raises NotHermitian when the asymmetry max|m - m^dagger| exceeds atol.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"matrix is not square: {a.shape}")
-    asym = np.max(np.abs(a - np.conjugate(a).T))
+    asym = np.max(np.abs(a - np.conjugate(a).swapaxes(-2, -1)))
     if asym > atol:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {atol:.1e}")
     return np.linalg.eigvalsh(a)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .correlations import full_tensor
+from .correlations import criterion_met, full_tensor
 from .errors import UnsupportedDimension
 from .linalg import hermitian_eigenvalues
 from .states import DensityMatrix
@@ -20,26 +20,32 @@ class EntanglementVerdict:
 
 
 def partial_transpose_second(matrix: np.ndarray) -> np.ndarray:
-    """Partial transpose over the second qubit of a two-qubit matrix."""
-    return (
-        matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    )
+    """Partial transpose over the second qubit of a two-qubit matrix, or of
+    each matrix of a (..., 4, 4) stack."""
+    lead = matrix.shape[:-2]
+    return matrix.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
 
 
-def ppt_verdict(rho: DensityMatrix) -> EntanglementVerdict:
-    """Peres-Horodecki test; necessary and sufficient at two qubits.
+def ppt_test(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peres-Horodecki test of each two-qubit matrix of a (..., 4, 4) stack:
+    (entangled, minimum eigenvalue of the partial transpose).
 
     Eigenvalues within TOL.pt_negativity of zero count as non-negative, so
     boundary states are classified separable.
     """
+    min_eig = hermitian_eigenvalues(partial_transpose_second(matrices))[..., 0]
+    return min_eig < -TOL.pt_negativity, min_eig
+
+
+def ppt_verdict(rho: DensityMatrix) -> EntanglementVerdict:
+    """Peres-Horodecki test (ppt_test); necessary and sufficient at two qubits."""
     if rho.n_qubits != 2:
         raise UnsupportedDimension("PPT verdict implemented for 2 qubits only")
-    eigs = hermitian_eigenvalues(partial_transpose_second(rho.matrix))
-    min_eig = float(eigs[0])
-    return EntanglementVerdict(min_eig < -TOL.pt_negativity, min_eig)
+    entangled, min_eig = ppt_test(rho.matrix)
+    return EntanglementVerdict(bool(entangled), float(min_eig))
 
 
 def brute_force_criterion(rho: DensityMatrix) -> tuple[float, bool]:
     """Sum of squares over the complete full-correlation tensor."""
     total = full_tensor(rho).sum_squares()
-    return total, total > 1.0
+    return total, criterion_met(total)

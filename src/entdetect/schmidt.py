@@ -35,7 +35,6 @@ from .correlations import (
     CriterionState,
     DetectionResult,
     criterion_add,
-    propagated_error,
 )
 from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatch
 from .linalg import PAULIS, svd
@@ -234,7 +233,7 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
         bloch_b @ bloch_b
     )
     basis_term = 2.0 * sdir_sq * max(1.0, crit.running_sum)
-    details["identity_error"] = math.sqrt(propagated_error(crit.records) ** 2 + basis_term**2)
+    details["identity_error"] = math.sqrt(crit.error**2 + basis_term**2)
     details["schmidt_frame"] = {
         "xi_a": frame.xi_a, "phi_a": frame.phi_a,
         "xi_b": frame.xi_b, "phi_b": frame.phi_b,
@@ -246,6 +245,6 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
         detected=detected,
         steps=len(crit.records),
         strategy="schmidt",
-        propagated_error=propagated_error(crit.records),
+        propagated_error=crit.error,
         details=details,
     )

@@ -56,6 +56,30 @@ class PureState:
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, np.conjugate(self.amplitudes)))
 
 
+def check_density(matrices: np.ndarray) -> None:
+    """The density-matrix invariants, for one matrix or each matrix of a
+    (..., d, d) stack: Hermitian and unit trace within TOL.equality, no
+    eigenvalue below -TOL.psd.
+
+    The checks run in that order over the whole stack; the first one that
+    some matrix breaks raises NotHermitian or DomainError, naming the first
+    such matrix.
+    """
+    flat = matrices.reshape((-1,) + matrices.shape[-2:])
+    asym = np.abs(flat - np.conjugate(flat).swapaxes(-2, -1)).max(axis=(-2, -1))
+    bad = asym > TOL.equality
+    if np.count_nonzero(bad):  # argmax of a boolean array is its first True
+        raise NotHermitian(f"asymmetry {asym[bad.argmax()]:.3e} exceeds tolerance")
+    tr = flat.trace(axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > TOL.equality
+    if np.count_nonzero(bad):
+        raise DomainError(f"trace {complex(tr[bad.argmax()])} differs from 1 beyond tolerance")
+    min_eig = np.linalg.eigvalsh(flat)[:, 0]
+    bad = min_eig < -TOL.psd
+    if np.count_nonzero(bad):
+        raise DomainError(f"minimum eigenvalue {min_eig[bad.argmax()]:.3e} below -{TOL.psd:.1e}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix of dimension 2^n."""
@@ -69,15 +93,7 @@ class DensityMatrix:
         d = 2**n
         if m.shape != (d, d):
             raise DimensionMismatch(f"expected shape {(d, d)}, got {m.shape}")
-        asym = float(np.max(np.abs(m - dagger(m))))
-        if asym > TOL.equality:
-            raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TOL.equality:
-            raise DomainError(f"trace {tr} differs from 1 beyond tolerance")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -TOL.psd:
-            raise DomainError(f"minimum eigenvalue {min_eig:.3e} below -{TOL.psd:.1e}")
+        check_density(m)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", m)
 
@@ -234,10 +250,19 @@ def random_mixed(n, seed, rank=None) -> DensityMatrix:
         rank = d
     if not 1 <= rank <= d:
         raise DomainError(f"rank must be in [1, {d}], got {rank}")
-    rng = as_generator(seed)
+    return DensityMatrix(n, unit_trace(ginibre_product(d, rank, as_generator(seed))))
+
+
+def ginibre_product(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """g g^dagger for a complex Gaussian d x rank factor g: the matrix of
+    random_mixed before unit_trace and validation."""
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ dagger(g)
-    return DensityMatrix(n, m / np.trace(m))
+    return g @ g.conj().T
+
+
+def unit_trace(matrices: np.ndarray) -> np.ndarray:
+    """One matrix, or each matrix of a (..., d, d) stack, divided by its trace."""
+    return matrices / np.trace(matrices, axis1=-2, axis2=-1)[..., None, None]
 
 
 def random_frame(n, seed) -> LocalFrame:
@@ -296,7 +321,12 @@ def apply_filter(rho: DensityMatrix, f: FilterOp) -> tuple[DensityMatrix, float]
 
 def purity(rho: DensityMatrix) -> float:
     """Tr rho^2; 1 for pure states, 1/2^n for maximally mixed."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    return float(purities(rho.matrix))
+
+
+def purities(matrices: np.ndarray) -> np.ndarray:
+    """Tr m^2 of one matrix or of each matrix of a (..., d, d) stack."""
+    return np.trace(matrices @ matrices, axis1=-2, axis2=-1).real
 
 
 def _complex_to_pairs(a: np.ndarray):

@@ -48,7 +48,6 @@ from .correlations import (
     format_index,
     is_full,
     parse_index,
-    propagated_error,
 )
 from .errors import DimensionMismatch, DomainError, NonFullCorrelation
 from .sources import measure_bloch
@@ -211,8 +210,14 @@ def priority_order(
     measured = [(_masks(r.index), r.value**2) for r in measured]
 
     def spent(idx: Index) -> float:
+        # Left to right in record order, as the batched sweep walker adds
+        # (sum() compensates its rounding from Python 3.12 on).
         mask = _masks(idx)
-        return sum(v2 for m, v2 in measured if _anti(m, mask))
+        total = 0.0
+        for m, v2 in measured:
+            if _anti(m, mask):
+                total += v2
+        return total
 
     return sorted(remaining, key=lambda idx: (spent(idx), idx))
 
@@ -224,7 +229,7 @@ def _result(crit, detected, strategy) -> DetectionResult:
         detected=detected,
         steps=len(crit.records),
         strategy=strategy,
-        propagated_error=propagated_error(crit.records),
+        propagated_error=crit.error,
     )
 
 

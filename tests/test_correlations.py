@@ -6,8 +6,10 @@ import pytest
 from entdetect import (
     CorrelationRecord,
     CriterionState,
+    DensityMatrix,
     DimensionMismatch,
     DuplicateIndex,
+    MeasurementSource,
     NonFullCorrelation,
     all_full_indices,
     apply_frame,
@@ -16,6 +18,7 @@ from entdetect import (
     correlation,
     criterion_add,
     full_tensor,
+    generate_tree,
     is_full,
     ket,
     make_dicke,
@@ -25,6 +28,7 @@ from entdetect import (
     random_frame,
     random_mixed,
     random_pure,
+    run_tree,
     sampled_correlation,
     schmidt_oracle,
 )
@@ -233,6 +237,19 @@ def test_propagated_error_formula():
     expect = math.sqrt(4 * (0.8 * 0.01) ** 2 + 2 * 0.01**4 + 2 * 0.015**4)
     assert abs(propagated_error(recs) - expect) < 1e-15
     assert propagated_error(recs) > 0.0
+
+
+def test_running_error_matches_propagated_error():
+    # An undetected 4-qubit shot-mode run measures all 81 full indices.
+    rho = DensityMatrix(4, np.eye(16) / 16)
+    source = MeasurementSource(rho, shots=4500, rng=np.random.default_rng(0))
+    result = run_tree(source, generate_tree(4, ("z",) * 4))
+    assert not result.detected and result.steps == 81
+    state = CriterionState()
+    for rec in result.records:
+        state, _ = criterion_add(state, rec)
+        assert state.error == propagated_error(state.records)
+    assert result.propagated_error == propagated_error(result.records)
 
 
 def test_index_helpers():

@@ -13,6 +13,7 @@ LAYERS = [
     {"correlations"},
     {"oracles", "sources"},
     {"schmidt", "tree"},
+    {"sweeps"},
     {"cli"},
 ]
 

@@ -22,6 +22,7 @@ from entdetect import (
     full_tensor,
     generate_tree,
     iter_paths,
+    ket,
     make_colored,
     make_dicke,
     make_g,
@@ -264,6 +265,19 @@ def test_run_tree_soundness_spot():
             assert result.sum_of_squares > 1
             assert brute_force_criterion(rho)[1]
             assert ppt_verdict(rho).entangled
+
+
+def test_framed_product_states_never_detected():
+    # Rounding lifts the sum of a framed product state just above 1; the
+    # criterion's tolerance keeps these exact-mode runs sound.
+    for i in range(150):
+        rho = apply_frame(ket("00").density(), random_frame(2, 10000 + i))
+        assert not run_tree(MeasurementSource(rho), default_tree_2q()).detected
+        assert not brute_force_criterion(rho)[1]
+    for n, count in ((3, 40), (4, 15)):
+        for i in range(count):
+            rho = apply_frame(ket("0" * n).density(), random_frame(n, 10000 + i))
+            assert not run_with_bloch_start(MeasurementSource(rho)).detected
 
 
 def test_run_tree_never_detects_below_one():
