@@ -49,14 +49,7 @@ from .states import (
     save_state,
     singlet,
 )
-# SweepResult and SweepRow are not used here; they stay importable from the CLI.
-from .sweeps import (  # noqa: F401
-    ExperimentConfig,
-    SweepResult,
-    SweepRow,
-    sweep_purity,
-    sweep_werner,
-)
+from .sweeps import ExperimentConfig, sweep_purity, sweep_werner
 from .tree import (
     DecisionTree,
     default_tree_2q,

@@ -17,13 +17,23 @@ class Tolerances:
                     as genuinely negative (entangled verdict)
     zero_projection norms below this are treated as failed projections
     phase_denominator  minimum value of 1 - |bloch|^2 for phase estimation
-    criterion       (derived: 3 * equality) detection needs a margin above
-                    1 + criterion. Validation accepts a density matrix whose
-                    trace t is within equality of 1, and every correlation of
-                    such a matrix is t times that of the normalized state, so
-                    a product state can reach a sum of t^2 <= (1 + equality)^2
-                    < 1 + 3 * equality; rounding of the sum itself (1e-14 at
-                    most over 81 terms) lies far below that.
+    criterion       (derived) detection needs a margin above 1 + criterion,
+                    so that no matrix validation accepts is detected when it
+                    lies within these slacks of a separable state. Say m
+                    passes validation on d = 2^n dimensions. Only its
+                    Hermitian part H enters the correlations, and eigvalsh
+                    reads one triangle of m, which differs from H by at most
+                    equality / 2 per off-diagonal entry; so no eigenvalue of
+                    H lies below -s with s = psd + (d - 1) * equality / 2.
+                    Write H = P - N with P / tr P separable and N >= 0
+                    holding the (at most d - 1) negative eigenvalues. The
+                    full correlations T are linear in the matrix, and their
+                    Euclidean length is at most tr P <= 1 + equality +
+                    (d - 1) s on P (a separable state's is at most 1) and at
+                    most sqrt(d tr N^2) <= sqrt(d (d - 1)) s on N. So |T(H)|
+                    < 1 + equality + 2 d s, taken at d = MAX_DIM, with more
+                    than s to spare: far more than the rounding of a sum of
+                    81 squares.
     """
 
     equality: float = 1e-9
@@ -35,7 +45,8 @@ class Tolerances:
 
     @property
     def criterion(self) -> float:
-        return 3.0 * self.equality
+        slack = self.psd + (MAX_DIM - 1) * self.equality / 2
+        return (1.0 + self.equality + 2 * MAX_DIM * slack) ** 2 - 1.0
 
 
 TOL = Tolerances()

@@ -65,6 +65,15 @@ def all_full_indices(n: int) -> list[Index]:
     return [idx for idx in product(_ITER_AXES, repeat=n)]
 
 
+def full_positions(n: int) -> np.ndarray:
+    """Where each index of all_full_indices(n) sits in a flattened Pauli
+    tensor (a row of pauli_tensors)."""
+    shape = (4,) * n
+    return np.array(
+        [np.ravel_multi_index([_POSITION[c] for c in idx], shape) for idx in all_full_indices(n)]
+    )
+
+
 @cache
 def _pauli_rows(n: int) -> np.ndarray:
     """Row k holds the k-th n-qubit Pauli operator, transposed and flattened,
@@ -82,9 +91,8 @@ def pauli_tensors(matrices: np.ndarray) -> np.ndarray:
     do not depend on how many others share the stack.
     """
     d = matrices.shape[-1]
-    rows = _pauli_rows(d.bit_length() - 1)
-    t = (rows @ matrices.reshape(matrices.shape[:-2] + (d * d, 1)))[..., 0].real
-    return np.clip(t, -1.0, 1.0)
+    t = (_pauli_rows(d.bit_length() - 1) @ matrices.reshape(*matrices.shape[:-2], d * d, 1)).real
+    return t.clip(-1.0, 1.0)[..., 0]
 
 
 def pauli_tensor(rho: DensityMatrix) -> np.ndarray:
@@ -174,10 +182,13 @@ def _variance(r: CorrelationRecord) -> float:
     return 4.0 * (r.value * r.stderr) ** 2 + 2.0 * r.stderr**4
 
 
+_DETECTION_BOUND = 1.0 + TOL.criterion
+
+
 def criterion_met(margin):
     """The detection rule: a margin (running sum minus the error allowance)
     above 1 + TOL.criterion. Accepts a float or an array of margins."""
-    return margin > 1.0 + TOL.criterion
+    return margin > _DETECTION_BOUND
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ def hermitian_eigenvalues(m, atol: float = TOL.equality) -> np.ndarray:
         raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"matrix is not square: {a.shape}")
-    asym = np.max(np.abs(a - np.conjugate(a).swapaxes(-2, -1)))
+    asym = np.abs(a - np.conjugate(a).swapaxes(-2, -1)).max()
     if asym > atol:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {atol:.1e}")
     return np.linalg.eigvalsh(a)

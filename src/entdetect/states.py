@@ -65,19 +65,25 @@ def check_density(matrices: np.ndarray) -> None:
     some matrix breaks raises NotHermitian or DomainError, naming the first
     such matrix.
     """
-    flat = matrices.reshape((-1,) + matrices.shape[-2:])
-    asym = np.abs(flat - np.conjugate(flat).swapaxes(-2, -1)).max(axis=(-2, -1))
-    bad = asym > TOL.equality
-    if np.count_nonzero(bad):  # argmax of a boolean array is its first True
-        raise NotHermitian(f"asymmetry {asym[bad.argmax()]:.3e} exceeds tolerance")
-    tr = flat.trace(axis1=-2, axis2=-1)
-    bad = np.abs(tr - 1.0) > TOL.equality
-    if np.count_nonzero(bad):
-        raise DomainError(f"trace {complex(tr[bad.argmax()])} differs from 1 beyond tolerance")
-    min_eig = np.linalg.eigvalsh(flat)[:, 0]
-    bad = min_eig < -TOL.psd
-    if np.count_nonzero(bad):
-        raise DomainError(f"minimum eigenvalue {min_eig[bad.argmax()]:.3e} below -{TOL.psd:.1e}")
+    # One scalar test per check; the offending matrix is located only on failure.
+    asym = np.abs(matrices - np.conjugate(matrices).swapaxes(-2, -1))
+    if asym.max() > TOL.equality:
+        asym = asym.max(axis=(-2, -1))
+        raise NotHermitian(f"asymmetry {_first(asym, asym > TOL.equality):.3e} exceeds tolerance")
+    tr = matrices.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0)
+    if off.max() > TOL.equality:
+        raise DomainError(f"trace {complex(_first(tr, off > TOL.equality))} differs from 1 beyond tolerance")
+    min_eig = np.linalg.eigvalsh(matrices)[..., 0]
+    if min_eig.min() < -TOL.psd:
+        raise DomainError(
+            f"minimum eigenvalue {_first(min_eig, min_eig < -TOL.psd):.3e} below -{TOL.psd:.1e}"
+        )
+
+
+def _first(values: np.ndarray, bad: np.ndarray):
+    """The first entry of values where bad holds, in C order."""
+    return values[bad].flat[0]
 
 
 @dataclass(frozen=True, eq=False)

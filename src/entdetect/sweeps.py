@@ -1,15 +1,16 @@
 """Parameter sweeps: detection across the Werner family, and across the
 Ginibre ensemble binned by purity.
 
-Exact sweeps run in batches. The purity sweep draws each sample from its own
+The exact purity sweep runs in batches. It draws each sample from its own
 spawned generator, as a single run would, into a stack of up to CHUNK
 matrices; the density-matrix checks, the PPT oracle, the purities and the
 Pauli tensors then each run once on the whole stack, through the same
 helpers the per-state functions call. CompiledTree.walk takes every state
 of the stack through the decision tree and then the priority queue at once,
-with the tree expanded into arrays. Shot sweeps keep the per-state run_tree
-loop: each sample's shot stream continues its own generator, which a batch
-would reorder.
+with the tree expanded into arrays. The Werner sweep (201 states on the
+CLI's default grid) and the shot-mode sweeps keep the per-state run_tree
+loop; in shot mode each sample's shot stream continues its own generator,
+which a batch would reorder.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .correlations import _POSITION, all_full_indices, criterion_met, pauli_tensors
+from .correlations import all_full_indices, criterion_met, full_positions, pauli_tensors
 from .errors import DomainError
 from .oracles import ppt_test
 from .sources import MeasurementSource
@@ -33,7 +34,7 @@ from .states import (
     purities,
     unit_trace,
 )
-from .tree import DecisionTree, _anti, _masks, default_tree_2q, run_tree
+from .tree import DecisionTree, anticommutation_table, default_tree_2q, run_tree
 
 MIN_SHOTS = 100
 # Samples drawn and walked together: large enough to amortize the per-batch
@@ -112,12 +113,8 @@ class CompiledTree:
         n = tree.n_qubits
         fulls = all_full_indices(n)
         ids = {idx: k for k, idx in enumerate(fulls)}
-        # Position of each full index in a flattened Pauli tensor.
-        self.position = np.array(
-            [sum(_POSITION[c] * 4 ** (n - 1 - q) for q, c in enumerate(idx)) for idx in fulls]
-        )
-        masks = [_masks(idx) for idx in fulls]
-        self.anti = np.array([[_anti(a, b) for b in masks] for a in masks])
+        self.position = full_positions(n)
+        self.anti = anticommutation_table(fulls)
         self.lex_rank = np.argsort(np.argsort(np.array(["".join(idx) for idx in fulls])))
         self.threshold = tree.threshold
         nodes = [tree.root]
@@ -194,31 +191,24 @@ def sweep_werner(
     """Detection across the Werner family, one row per mixing probability."""
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
-    tree = default_tree_2q(cfg.threshold)
-    if cfg.shots is None:
-        states = [make_werner(p) for p in p_values]
-        walk = CompiledTree(tree).walk(pauli_tensors(np.array([s.matrix for s in states])))
-        runs = [[int(s)] if d else [] for d, s in zip(walk.detected, walk.steps)]
-        n_runs = 1
-    else:
-        runs = []
-        n_runs = repeats
-        for p, seq in zip(p_values, np.random.SeedSequence(cfg.seed).spawn(len(p_values))):
-            state = make_werner(p)
-            rng = np.random.default_rng(seq)
-            steps = []
-            for _ in range(n_runs):
-                source = MeasurementSource(state, cfg.shots, rng)
-                run = run_tree(source, tree, error_multiplier=cfg.error_multiplier)
-                if run.detected:
-                    steps.append(run.steps)
-            runs.append(steps)
     result = SweepResult()
-    for p, steps in zip(p_values, runs):
+    tree = default_tree_2q(cfg.threshold)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(p_values))
+    for p, seq in zip(p_values, seeds):
+        state = make_werner(p)
+        n_runs = 1 if cfg.shots is None else repeats
+        rng = np.random.default_rng(seq)
+        detected, steps = 0, []
+        for _ in range(n_runs):
+            source = MeasurementSource(state, cfg.shots, rng)
+            run = run_tree(source, tree, error_multiplier=cfg.error_multiplier)
+            if run.detected:
+                detected += 1
+                steps.append(run.steps)
         result.rows.append(
             SweepRow(
                 parameter=float(p),
-                fraction=len(steps) / n_runs,
+                fraction=detected / n_runs,
                 mean_steps=(sum(steps) / len(steps)) if steps else None,
                 n_samples=n_runs,
                 seed=cfg.seed,

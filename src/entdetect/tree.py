@@ -80,6 +80,12 @@ def anticommute(a: Index, b: Index) -> bool:
     return _anti(_masks(tuple(a)), _masks(tuple(b)))
 
 
+def anticommutation_table(indices: Sequence[Index]) -> np.ndarray:
+    """Boolean matrix: entry (i, j) is anticommute(indices[i], indices[j])."""
+    masks = [_masks(tuple(idx)) for idx in indices]
+    return np.array([[_anti(a, b) for b in masks] for a in masks])
+
+
 @dataclass
 class TreeNode:
     """A node with explicit children, as read from a tree file."""

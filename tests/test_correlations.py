@@ -32,6 +32,7 @@ from entdetect import (
     sampled_correlation,
     schmidt_oracle,
 )
+from entdetect.correlations import full_positions, pauli_tensor
 from entdetect.tree import anticommute
 
 
@@ -275,3 +276,12 @@ def test_pauli_tensor_matches_operator_oracle():
                 pos = tuple(PAULI_LABELS.index(label) for label in idx)
                 expect = np.einsum("ij,ji->", rho.matrix, pauli_operator(idx)).real
                 assert abs(t[pos] - expect) < 1e-12
+
+
+def test_full_positions_index_the_flattened_tensor():
+    for n in (1, 2, 3):
+        rho = random_mixed(n, n)
+        flat = pauli_tensor(rho).ravel()
+        assert [flat[k] for k in full_positions(n)] == [
+            correlation(rho, idx) for idx in all_full_indices(n)
+        ]

@@ -1,4 +1,4 @@
-"""Exact sweeps run in batches; these tests hold them to the per-state functions."""
+"""The exact purity sweep runs in batches; these tests hold it to the per-state functions."""
 
 import hashlib
 
@@ -28,8 +28,8 @@ from entdetect.oracles import ppt_test
 from entdetect.states import check_density, purities
 from entdetect.sweeps import CompiledTree
 
-# SHA-256 of the CLI's standard output, as produced by the per-state sweep
-# loop that the batched sweeps replaced.
+# SHA-256 of the CLI's standard output, as produced by the per-state
+# purity-sweep loop that the batched sweep replaced.
 PINNED = {
     ("sweep-purity", "--samples", "1000", "--seed", "1000", "--format", "json"):
         "6b4125cff21665caac83b8d440da372277794f5c48c1e95271ff42d83ce92590",

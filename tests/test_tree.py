@@ -75,6 +75,13 @@ def test_anticommute_matches_matrix_oracle():
             assert anticommute(a, b) == anti
 
 
+def test_anticommutation_table_matches_anticommute():
+    for n in (2, 3):
+        indices = all_full_indices(n)
+        table = tree_module.anticommutation_table(indices)
+        assert table.tolist() == [[anticommute(a, b) for b in indices] for a in indices]
+
+
 _LABEL_OF_BITS = {(0, 0): "0", (1, 0): "x", (1, 1): "y", (0, 1): "z"}
 
 
@@ -278,6 +285,23 @@ def test_framed_product_states_never_detected():
         for i in range(count):
             rho = apply_frame(ket("0" * n).density(), random_frame(n, 10000 + i))
             assert not run_with_bloch_start(MeasurementSource(rho)).detected
+    # Matrices next to a product state that validation accepts (trace within
+    # 1e-9 of 1, eigenvalues above -1e-9), whose sums exceed 1 by up to 3e-8.
+    e = 0.9e-9
+    for spectrum in (
+        [1 + e, -e, 0, 0],  # (1 + e)|a,b> - e|a,-b>: correlations (1 + 2e) a_i b_j
+        [1 + 0.5e-9 + 3 * e] + [-e] * 3,  # every other product-basis state at -e
+        [1 + 0.5e-9 + 15 * e] + [-e] * 15,
+    ):
+        n = len(spectrum).bit_length() - 1
+        for i in range(5):
+            m = np.diag(spectrum).astype(complex)
+            rho = apply_frame(DensityMatrix(n, m), random_frame(n, 20000 + i))
+            total, detected = brute_force_criterion(rho)
+            assert total > 1 + 3e-9 and not detected
+            assert not run_with_bloch_start(MeasurementSource(rho)).detected
+            if n == 2:
+                assert not run_tree(MeasurementSource(rho), default_tree_2q()).detected
 
 
 def test_run_tree_never_detects_below_one():
