@@ -25,7 +25,6 @@ from .correlations import (
     is_full,
     parse_index,
     propagated_error,
-    sampled_correlation,
 )
 from .errors import (
     DegenerateDenominator,
@@ -49,13 +48,11 @@ from .linalg import (
     mat_equal,
     pauli_operator,
     svd,
-    tensor_product,
     tensor_product_all,
 )
 from .oracles import EntanglementVerdict, brute_force_criterion, ppt_verdict
 from .schmidt import (
     ProtocolConfig,
-    SchmidtFrame,
     basis_from_angles,
     bloch_to_basis,
     pair_directions,
@@ -63,7 +60,7 @@ from .schmidt import (
     run_protocol,
     schmidt_oracle,
 )
-from .sources import MeasurementSource, direction_operator, measure_bloch
+from .sources import MeasurementSource, measure_bloch
 from .states import (
     DensityMatrix,
     FilterOp,

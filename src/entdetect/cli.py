@@ -62,6 +62,8 @@ from .tree import (
 )
 
 DEFAULT_SHOTS = 4500
+# The largest Werner grid sweep-werner builds (its default grid has 201 points).
+MAX_GRID_POINTS = 100_000
 
 
 def parse_mode(text: str) -> Optional[int]:
@@ -114,12 +116,14 @@ def parse_state_spec(spec: str) -> DensityMatrix:
 def _prepare_state(args) -> DensityMatrix:
     state = parse_state_spec(args.state)
     if args.frame_seed is not None:
+        if args.frame_seed < 0:
+            raise ParseError(f"frame seed must be >= 0, got {args.frame_seed}")
         state = apply_frame(state, random_frame(state.n_qubits, args.frame_seed))
     return state
 
 
-def _result_payload(result: DetectionResult, cfg: ExperimentConfig, extra=None) -> dict:
-    payload = {
+def _result_payload(result: DetectionResult, cfg: ExperimentConfig) -> dict:
+    return {
         "verdict": result.verdict,
         "detected": result.detected,
         "sum_of_squares": result.sum_of_squares,
@@ -137,23 +141,8 @@ def _result_payload(result: DetectionResult, cfg: ExperimentConfig, extra=None) 
             }
             for r in result.records
         ],
-        "details": _json_safe(result.details),
+        "details": result.details,
     }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -196,7 +185,6 @@ def _config_from_args(args) -> ExperimentConfig:
         seed=args.seed,
         threshold=args.threshold,
         error_multiplier=args.error_multiplier,
-        filter_eps=getattr(args, "filter_eps", 0.5),
     )
 
 
@@ -225,7 +213,7 @@ def cmd_schmidt(args) -> int:
         raise ParseError("the schmidt command needs a two-qubit state")
     source = MeasurementSource(state, cfg.shots, np.random.default_rng(cfg.seed))
     protocol = ProtocolConfig(
-        filter_eps=cfg.filter_eps,
+        filter_eps=args.filter_eps,
         always_extra=not args.minimal,
         error_multiplier=cfg.error_multiplier,
     )
@@ -241,9 +229,12 @@ def cmd_schmidt(args) -> int:
 
 def cmd_sweep_werner(args) -> int:
     cfg = _config_from_args(args)
-    if not (0.0 <= args.p_min <= args.p_max <= 1.0) or args.step <= 0:
-        raise ParseError("werner sweep grid must satisfy 0 <= p-min <= p-max <= 1, step > 0")
-    count = int(math.floor((args.p_max - args.p_min) / args.step + 1e-9)) + 1
+    if not (0.0 <= args.p_min <= args.p_max <= 1.0 and 0.0 < args.step < math.inf):
+        raise ParseError("werner sweep grid must satisfy 0 <= p-min <= p-max <= 1, 0 < step < inf")
+    points = (args.p_max - args.p_min) / args.step + 1e-9
+    if points >= MAX_GRID_POINTS:
+        raise ParseError(f"werner sweep grid exceeds {MAX_GRID_POINTS} points")
+    count = int(math.floor(points)) + 1
     grid = [round(args.p_min + i * args.step, 12) for i in range(count)]
     sweep = sweep_werner(grid, cfg, repeats=args.repeats)
     _emit(sweep.to_json() + "\n" if args.format == "json" else sweep.to_csv(), args.out)

@@ -11,7 +11,6 @@ class Tolerances:
     """Absolute tolerances shared across the package.
 
     equality        matrix / state comparisons and constructor invariants
-    spectral        eigen- and singular-value reconstruction budget
     psd             negative-eigenvalue slack allowed on density matrices
     pt_negativity   partial-transpose eigenvalues below -pt_negativity count
                     as genuinely negative (entangled verdict)
@@ -37,7 +36,6 @@ class Tolerances:
     """
 
     equality: float = 1e-9
-    spectral: float = 1e-8
     psd: float = 1e-9
     pt_negativity: float = 1e-10
     zero_projection: float = 1e-12

@@ -6,7 +6,8 @@ turns a state into all 4^n values Tr[rho P] at once, as one product against
 a cached stack of Pauli operators; every exact query (correlation,
 bloch_vector, full_tensor, the measurement sources) is a lookup in or a
 contraction of that tensor, and sample is the one binomial model of a
-finite-statistics measurement; pauli_tensors does the same for a whole stack
+finite-statistics measurement, which sources.MeasurementSource applies to
+every query in shot mode; pauli_tensors does the same for a whole stack
 of states. The criterion accumulator declares detection as soon as the sum
 of squared full correlations exceeds 1 (minus a configurable multiple of the
 propagated error in shot mode), by the one rule criterion_met.
@@ -32,7 +33,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .linalg import PAULI_LABELS, pauli_operator
-from .states import DensityMatrix, as_generator
+from .states import DensityMatrix
 
 Index = Tuple[str, ...]
 
@@ -149,14 +150,6 @@ class CorrelationRecord:
             )
 
 
-def sampled_correlation(rho: DensityMatrix, index: Index, shots: int, rng) -> CorrelationRecord:
-    """One sampled measurement of a correlation (see sample)."""
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
-    value, stderr = sample(correlation(rho, index), shots, as_generator(rng))
-    return CorrelationRecord(tuple(index), value, stderr, shots)
-
-
 def bloch_vector(rho: DensityMatrix, party: int) -> np.ndarray:
     """Local Bloch vector (T_x, T_y, T_z with identities elsewhere)."""
     n = rho.n_qubits
@@ -207,13 +200,6 @@ class CriterionState:
     def error(self) -> float:
         return math.sqrt(self.variance)
 
-    @property
-    def measured_indices(self) -> Tuple[Index, ...]:
-        # A list first: tuple() of a generator resizes the tuple, and CPython
-        # keeps the resized tuples on its per-size free lists, which grows
-        # the resident memory of a long run.
-        return tuple([r.index for r in self.records])
-
 
 def criterion_add(
     state: CriterionState, record: CorrelationRecord, error_multiplier: float = 1.0
@@ -262,7 +248,10 @@ class DetectionResult:
 
     @property
     def full_records(self) -> Tuple[CorrelationRecord, ...]:
-        return tuple([r for r in self.records if is_full(r.index)])  # see measured_indices
+        # A list first: tuple() of a generator resizes the tuple, and CPython
+        # keeps the resized tuples on its per-size free lists, which grows
+        # the resident memory of a long run.
+        return tuple([r for r in self.records if is_full(r.index)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,11 +48,6 @@ def mat_equal(a, b, atol: float = TOL.equality) -> bool:
     return bool(np.max(np.abs(a - b)) <= atol) if a.size else True
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; the first factor carries the slow (block) index."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def tensor_product_all(factors: Iterable) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for f in factors:
@@ -68,11 +63,12 @@ def pauli_operator(index) -> np.ndarray:
     return tensor_product_all(PAULIS[label] for label in index)
 
 
-def hermitian_eigenvalues(m, atol: float = TOL.equality) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending; for a (..., d, d)
     stack, the spectrum of each matrix along the last axis.
 
-    Raises NotHermitian when the asymmetry max|m - m^dagger| exceeds atol.
+    Raises NotHermitian when the asymmetry max|m - m^dagger| exceeds
+    TOL.equality.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2:
@@ -80,8 +76,8 @@ def hermitian_eigenvalues(m, atol: float = TOL.equality) -> np.ndarray:
     if a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"matrix is not square: {a.shape}")
     asym = np.abs(a - np.conjugate(a).swapaxes(-2, -1)).max()
-    if asym > atol:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {atol:.1e}")
+    if asym > TOL.equality:
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {TOL.equality:.1e}")
     return np.linalg.eigvalsh(a)
 
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +38,14 @@ from .correlations import (
 from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatch
 from .linalg import PAULIS, svd
 from .sources import measure_bloch
-from .states import FilterOp, PureState, apply_filter  # apply_filter: importable from here too
+from .states import FilterOp, PureState
 
-
-@dataclass(frozen=True)
-class SchmidtFrame:
-    """Per-party basis angles plus the (optionally known) Schmidt data."""
-
-    xi_a: float
-    phi_a: float
-    xi_b: float
-    phi_b: float
-    relative_phase: Optional[float] = None
-    theta: Optional[float] = None
+# The protocol's fixed settings (see ProtocolConfig and bloch_to_basis).
+FILTER_PARTY = 1
+VANISHING_THRESHOLD = 0.1
+SHOT_VANISHING_FLOOR = 0.2
+PHASE_THRESHOLD = 0.3
+MIN_BLOCH_NORM = 1e-9
 
 
 def schmidt_oracle(psi: PureState):
@@ -69,7 +63,7 @@ def schmidt_oracle(psi: PureState):
     return theta, (u[:, 0], u[:, 1]), (vh[0, :], vh[1, :])
 
 
-def bloch_to_basis(alpha, min_norm: float = 1e-9) -> tuple[float, float]:
+def bloch_to_basis(alpha) -> tuple[float, float]:
     """Basis angles (xi, phi) whose |a> points along the Bloch direction alpha.
 
     alpha = (sin 2xi cos phi, sin 2xi sin phi, cos 2xi) after normalization;
@@ -79,8 +73,8 @@ def bloch_to_basis(alpha, min_norm: float = 1e-9) -> tuple[float, float]:
     if a.shape != (3,):
         raise DimensionMismatch("Bloch direction must have 3 components")
     norm = float(np.linalg.norm(a))
-    if norm < min_norm:
-        raise DegenerateDirection(f"Bloch norm {norm:.3e} below {min_norm:.1e}")
+    if norm < MIN_BLOCH_NORM:
+        raise DegenerateDirection(f"Bloch norm {norm:.3e} below {MIN_BLOCH_NORM:.1e}")
     a = a / norm
     xi = 0.5 * math.acos(min(1.0, max(-1.0, a[2])))
     # At a pole the transverse part is rounding noise and phi is arbitrary.
@@ -130,20 +124,18 @@ def relative_phase(t_yy: float, bloch_a) -> float:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Knobs for run_protocol.
+    """Settings of run_protocol.
 
-    vanishing_threshold applies in exact mode; in shot mode the threshold is
-    max(shot_vanishing_floor, 3 * propagated Bloch error) -- the floor keeps
-    badly-resolved Bloch directions (which would corrupt the verification
-    bases) on the filtering path. always_extra=True measures T_x'y''
-    unconditionally; set it False for the phase-gated minimal variant.
+    The filter (strength filter_eps, on party FILTER_PARTY) applies when a
+    Bloch norm is below VANISHING_THRESHOLD in exact mode, or below
+    max(SHOT_VANISHING_FLOOR, 3 * propagated Bloch error) in shot mode --
+    the floor keeps badly-resolved Bloch directions (which would corrupt the
+    verification bases) on the filtering path. always_extra=True measures
+    T_x'y'' unconditionally; False gives the phase-gated minimal variant
+    (extra pair only when |cos(phase)| < PHASE_THRESHOLD).
     """
 
     filter_eps: float = 0.5
-    filter_party: int = 1
-    vanishing_threshold: float = 0.1
-    shot_vanishing_floor: float = 0.2
-    phase_threshold: float = 0.3
     always_extra: bool = True
     perp_phase: float = 0.0
     error_multiplier: float = 1.0
@@ -164,17 +156,16 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
 
     transcript, (bloch_a, bloch_b), (err_a, err_b) = measure_bloch(source)
     if source.shots is None:
-        thr_a = thr_b = config.vanishing_threshold
+        thr_a = thr_b = VANISHING_THRESHOLD
     else:
-        thr_a = max(config.shot_vanishing_floor, 3.0 * float(np.linalg.norm(err_a)))
-        thr_b = max(config.shot_vanishing_floor, 3.0 * float(np.linalg.norm(err_b)))
+        thr_a = max(SHOT_VANISHING_FLOOR, 3.0 * float(np.linalg.norm(err_a)))
+        thr_b = max(SHOT_VANISHING_FLOOR, 3.0 * float(np.linalg.norm(err_b)))
     details["vanishing_thresholds"] = [thr_a, thr_b]
 
     if np.linalg.norm(bloch_a) < thr_a or np.linalg.norm(bloch_b) < thr_b:
-        filt = FilterOp(config.filter_party, config.filter_eps)
-        p_succ = source.apply_filter(filt)
+        p_succ = source.apply_filter(FilterOp(FILTER_PARTY, config.filter_eps))
         details["filter"] = {
-            "party": config.filter_party,
+            "party": FILTER_PARTY,
             "eps": config.filter_eps,
             "success_probability": p_succ,
         }
@@ -188,15 +179,11 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
 
     xi_a, phi_a = bloch_to_basis(bloch_a)
     xi_b, phi_b = bloch_to_basis(bloch_b)
-    frame = SchmidtFrame(
-        xi_a, phi_a, xi_b, phi_b,
-        theta=0.5 * math.acos(min(1.0, float(np.linalg.norm(bloch_a)))),
-    )
     dirs_a = pair_directions(*basis_from_angles(xi_a, phi_a, config.perp_phase))
     dirs_b = pair_directions(*basis_from_angles(xi_b, phi_b, config.perp_phase))
     details["frame"] = {
         "xi_a": xi_a, "phi_a": phi_a, "xi_b": xi_b, "phi_b": phi_b,
-        "theta_estimate": frame.theta,
+        "theta_estimate": 0.5 * math.acos(min(1.0, float(np.linalg.norm(bloch_a)))),
     }
 
     def verify(axis_a, axis_b):
@@ -210,21 +197,19 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
     verify("z", "z")
     rec_yy, detected = verify("y", "y")
 
-    cos_phase = None
     try:
         cos_phase = relative_phase(rec_yy.value, bloch_a)
-        details["cos_phase"] = cos_phase
     except DegenerateDenominator:
-        details["cos_phase"] = None
+        cos_phase = None
+    details["cos_phase"] = cos_phase
+    details["frame"]["relative_phase"] = None if cos_phase is None else math.acos(cos_phase)
 
-    small_phase = cos_phase is not None and abs(cos_phase) < config.phase_threshold
+    small_phase = cos_phase is not None and abs(cos_phase) < PHASE_THRESHOLD
     if config.always_extra or (not detected and small_phase):
         _, detected = verify("x", "y")
         if not detected:
             _, detected = verify("y", "x")
 
-    if cos_phase is not None:
-        frame = replace(frame, relative_phase=math.acos(cos_phase))
     # Error of the accumulated sum as an estimator of the pure-state identity
     # 1 + sin^2(2 theta): besides the verification-shot term this includes the
     # calibration noise propagated through the basis choice, whose leading
@@ -234,11 +219,6 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
     )
     basis_term = 2.0 * sdir_sq * max(1.0, crit.running_sum)
     details["identity_error"] = math.sqrt(crit.error**2 + basis_term**2)
-    details["schmidt_frame"] = {
-        "xi_a": frame.xi_a, "phi_a": frame.phi_a,
-        "xi_b": frame.xi_b, "phi_b": frame.phi_b,
-        "relative_phase": frame.relative_phase, "theta": frame.theta,
-    }
     return DetectionResult(
         records=tuple(transcript),
         sum_of_squares=crit.running_sum,

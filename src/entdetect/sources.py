@@ -6,8 +6,7 @@ filter. A Pauli-index query is a lookup in that tensor; a query along
 arbitrary local directions contracts each party's axis with its unit vector
 (or takes the identity entry for None). In shot mode the exact value then
 goes through the one binomial model, correlations.sample. Detection
-strategies only call the query methods; the .state property exists for
-oracles and tests.
+strategies only call the query methods.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .correlations import CorrelationRecord, Index, lookup, pauli_tensor, sample
 from .errors import DimensionMismatch, DomainError
-from .linalg import AXES, PAULIS
+from .linalg import AXES
 from .states import DensityMatrix, FilterOp, apply_filter, as_generator
 
 
@@ -32,12 +31,6 @@ def _unit(direction) -> np.ndarray:
     return d / norm
 
 
-def direction_operator(direction) -> np.ndarray:
-    """The single-qubit observable n . sigma for a unit 3-vector n."""
-    d = _unit(direction)
-    return d[0] * PAULIS["x"] + d[1] * PAULIS["y"] + d[2] * PAULIS["z"]
-
-
 class MeasurementSource:
     """Exact or shot-noise access to the correlations of a hidden state."""
 
@@ -48,18 +41,12 @@ class MeasurementSource:
         self._tensor = pauli_tensor(state)
         self.shots = shots
         self._rng = as_generator(rng) if shots is not None else None
-        self.queries = 0
 
     @property
     def n_qubits(self) -> int:
         return self._state.n_qubits
 
-    @property
-    def state(self) -> DensityMatrix:
-        return self._state
-
     def _observe(self, t: float) -> tuple[float, float]:
-        self.queries += 1
         return (t, 0.0) if self.shots is None else sample(t, self.shots, self._rng)
 
     def measure_index(self, index: Index) -> CorrelationRecord:

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -127,9 +126,6 @@ class LocalFrame:
     @property
     def n_qubits(self) -> int:
         return len(self.unitaries)
-
-    def full_unitary(self) -> np.ndarray:
-        return tensor_product_all(self.unitaries)
 
 
 def ket(bits: str) -> PureState:
@@ -284,31 +280,25 @@ def apply_frame(state, frame: LocalFrame):
         raise DimensionMismatch(
             f"frame has {frame.n_qubits} parties, state has {state.n_qubits}"
         )
-    u = frame.full_unitary()
+    u = tensor_product_all(frame.unitaries)
     if isinstance(state, PureState):
         return PureState(state.n_qubits, u @ state.amplitudes)
     return DensityMatrix(state.n_qubits, u @ state.matrix @ dagger(u))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FilterOp:
-    """Local non-unitary filter |b0><b0| + eps |b1><b1| on one party."""
+    """Local non-unitary filter |0><0| + eps |1><1| on one party."""
 
     party: int
     eps: float
-    basis: Optional[np.ndarray] = None  # columns are |b0>, |b1>; default computational
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise DomainError(f"filter strength must be in (0, 1], got {self.eps}")
-        basis = np.eye(2, dtype=complex) if self.basis is None else np.asarray(self.basis, dtype=complex)
-        if basis.shape != (2, 2) or not mat_equal(dagger(basis) @ basis, np.eye(2)):
-            raise DomainError("filter basis must be a single-qubit orthonormal pair")
-        object.__setattr__(self, "basis", basis)
 
     def operator(self) -> np.ndarray:
-        b0, b1 = self.basis[:, 0], self.basis[:, 1]
-        return np.outer(b0, np.conjugate(b0)) + self.eps * np.outer(b1, np.conjugate(b1))
+        return np.diag([1.0, self.eps]).astype(complex)
 
 
 def apply_filter(rho: DensityMatrix, f: FilterOp) -> tuple[DensityMatrix, float]:

@@ -50,11 +50,12 @@ class ExperimentConfig:
     seed: int = 0
     threshold: float = 0.5
     error_multiplier: float = 1.0
-    filter_eps: float = 0.5
 
     def __post_init__(self):
         if self.shots is not None and self.shots < MIN_SHOTS:
             raise DomainError(f"shot mode needs at least {MIN_SHOTS} shots, got {self.shots}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.threshold < 1.0:
             raise DomainError(f"threshold must be in (0, 1), got {self.threshold}")
         if not 0.0 <= self.error_multiplier < math.inf:

@@ -38,6 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .config import MAX_QUBITS
 from .correlations import (
     CorrelationRecord,
     CriterionState,
@@ -174,6 +175,10 @@ def _best_child(path, remaining) -> Optional[Index]:
 
 
 def _plan(n: int, root: Index, threshold: float, max_depth: Optional[int]) -> DecisionTree:
+    if not 1 <= n <= MAX_QUBITS:
+        raise DomainError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    if max_depth is not None and max_depth < 1:
+        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
     root = tuple(root)
     if len(root) != n:
         raise DimensionMismatch(f"root index length {len(root)} does not match n={n}")
@@ -190,10 +195,10 @@ def generate_tree(
 ) -> DecisionTree:
     """The measurement plan rooted at a given full index.
 
-    max_depth bounds the path length; the default is the full 3^n for one or
-    two qubits and 8 for more (the run continues with the priority queue
-    past the leaves, so a capped tree loses no coverage). Children are
-    computed when first read.
+    n runs from 1 to MAX_QUBITS. max_depth (at least 1) bounds the path
+    length; the default is the full 3^n for one or two qubits and 8 for
+    more (the run continues with the priority queue past the leaves, so a
+    capped tree loses no coverage). Children are computed when first read.
     """
     return _plan(n, root, threshold, max_depth)
 
@@ -239,27 +244,22 @@ def _result(crit, detected, strategy) -> DetectionResult:
     )
 
 
-def run_tree(
-    source,
-    tree: DecisionTree,
-    *,
-    error_multiplier: float = 1.0,
-    max_steps: Optional[int] = None,
-) -> DetectionResult:
+def run_tree(source, tree: DecisionTree, *, error_multiplier: float = 1.0) -> DetectionResult:
     """Walk the tree, then the priority queue, until detection or exhaustion.
 
     Branching uses the central value against the threshold; in shot mode the
-    detection verdict additionally subtracts the propagated error.
+    detection verdict additionally subtracts the propagated error. No index
+    is measured twice (criterion_add raises DuplicateIndex), so a run ends
+    within 3^n steps.
     """
     if source.n_qubits != tree.n_qubits:
         raise DimensionMismatch(
             f"source has {source.n_qubits} qubits, tree expects {tree.n_qubits}"
         )
-    limit = 3**tree.n_qubits if max_steps is None else max_steps
     crit = CriterionState()
     strategy = "tree"
     node = tree.root
-    while node is not None and len(crit.records) < limit:
+    while node is not None:
         rec = source.measure_index(node.index)
         crit, verdict = criterion_add(crit, rec, error_multiplier)
         if verdict == "detected":
@@ -270,8 +270,6 @@ def run_tree(
     if queue:
         strategy = "tree+priority"
     for index in queue:
-        if len(crit.records) >= limit:
-            break
         rec = source.measure_index(index)
         crit, verdict = criterion_add(crit, rec, error_multiplier)
         if verdict == "detected":
@@ -280,15 +278,15 @@ def run_tree(
 
 
 _RENAME_SHIFT = {"x": 0, "z": 1, "y": 2}
+# A party's largest Bloch component must reach this to pick its root label.
+DOMINANCE_THRESHOLD = 0.2
 
 
-def starting_index_from_bloch(
-    blochs: Sequence[np.ndarray], *, dominance_threshold: float = 0.2
-) -> tuple[Index, tuple[dict, ...]]:
+def starting_index_from_bloch(blochs: Sequence[np.ndarray]) -> tuple[Index, tuple[dict, ...]]:
     """Root index suggested by the local Bloch vectors.
 
     Each party contributes its dominant axis (largest |component| when it
-    reaches the dominance threshold, else the default z). Also returns, per
+    reaches DOMINANCE_THRESHOLD, else the default z). Also returns, per
     party, the cyclic axis renaming that carries a canonical x-rooted plan
     onto the suggested one.
     """
@@ -298,7 +296,7 @@ def starting_index_from_bloch(
         if b.shape != (3,):
             raise DimensionMismatch("each Bloch vector must have 3 components")
         k = int(np.argmax(np.abs(b)))
-        dominant.append("xyz"[k] if abs(b[k]) >= dominance_threshold else "z")
+        dominant.append("xyz"[k] if abs(b[k]) >= DOMINANCE_THRESHOLD else "z")
     renamings = []
     for axis in dominant:
         shift = _RENAME_SHIFT[axis]
@@ -309,21 +307,15 @@ def starting_index_from_bloch(
 
 
 def run_with_bloch_start(
-    source,
-    *,
-    threshold: float = 0.5,
-    max_depth: Optional[int] = None,
-    dominance_threshold: float = 0.2,
-    error_multiplier: float = 1.0,
-    max_steps: Optional[int] = None,
+    source, *, threshold: float = 0.5, error_multiplier: float = 1.0
 ) -> DetectionResult:
-    """Measure the local Bloch vectors, root a tree at the suggested index,
-    and run it. The 3n local measurements appear in the transcript but do
-    not count as criterion steps."""
+    """Measure the local Bloch vectors, root a tree of the default depth at
+    the suggested index, and run it. The 3n local measurements appear in the
+    transcript but do not count as criterion steps."""
     local_records, blochs, _ = measure_bloch(source)
-    root, renamings = starting_index_from_bloch(blochs, dominance_threshold=dominance_threshold)
-    tree = _plan(source.n_qubits, root, threshold, max_depth)
-    result = run_tree(source, tree, error_multiplier=error_multiplier, max_steps=max_steps)
+    root, renamings = starting_index_from_bloch(blochs)
+    tree = _plan(source.n_qubits, root, threshold, None)
+    result = run_tree(source, tree, error_multiplier=error_multiplier)
     details = {
         **result.details,
         "bloch_vectors": blochs.tolist(),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import entdetect as ed
 from entdetect import bell_phi_plus, load_tree, mat_equal
 from entdetect.cli import main, parse_mode, parse_state_spec
 from entdetect.errors import ParseError
@@ -66,6 +67,43 @@ def test_schmidt_command(tmp_path):
     assert payload["verdict"] == "detected"
     assert payload["details"]["filter"] is not None
     assert abs(payload["sum_of_squares"] - 1.64) < 1e-9
+    assert "relative_phase" in payload["details"]["frame"]
+    assert "schmidt_frame" not in payload["details"]
+
+
+def _framed(state, seed):
+    return ed.apply_frame(state.density(), ed.random_frame(state.n_qubits, seed))
+
+
+def _source(state, shots=None):
+    return ed.MeasurementSource(state, shots, np.random.default_rng(7))
+
+
+# Each strategy path of the runs whose details the payloads write out.
+DETAIL_RUNS = {
+    "tree-exact": lambda: ed.run_tree(_source(ed.make_werner(0.4)), ed.default_tree_2q()),
+    "tree-shots": lambda: ed.run_tree(_source(ed.make_werner(0.9), 4500), ed.default_tree_2q()),
+    "bloch-3q": lambda: ed.run_with_bloch_start(_source(_framed(ed.make_w(), 1))),
+    "bloch-4q": lambda: ed.run_with_bloch_start(_source(_framed(ed.make_dicke(4, 2), 2), 4500)),
+    "protocol-filtered": lambda: ed.run_protocol(_source(_framed(bell_phi_plus(), 3))),
+    "protocol-unfiltered": lambda: ed.run_protocol(_source(_framed(ed.random_pure(2, 4), 5), 4500)),
+    "protocol-phase-gated": lambda: ed.run_protocol(
+        _source(_framed(ed.random_pure(2, 6), 7)), ed.ProtocolConfig(always_extra=False)
+    ),
+    "protocol-aborted": lambda: ed.run_protocol(_source(ed.make_werner(0.0))),
+}
+
+
+@pytest.mark.parametrize("path", DETAIL_RUNS)
+def test_details_serialize_as_json(path):
+    details = DETAIL_RUNS[path]().details
+    json.dumps(details)
+    if path.startswith("bloch"):
+        assert len(details["bloch_vectors"]) == int(path[-2])
+    if path.startswith("protocol"):
+        assert ("filter" in details) == (path in ("protocol-filtered", "protocol-aborted"))
+        assert ("abort" in details) == (path == "protocol-aborted")
+        assert details["mode"] == ("phase-gated" if path == "protocol-phase-gated" else "always-extra")
 
 
 def test_schmidt_rejects_three_qubits():
@@ -173,12 +211,28 @@ def test_detect_four_qubit_dicke(tmp_path):
     assert abs(payload["sum_of_squares"] - (1 + 4 / 9)) < 1e-9
 
 
-def test_bad_inputs_exit_code():
+def test_bad_inputs_exit_code(capsys):
     assert main(["detect", "no-such-state"]) == 2
     assert main(["detect", "werner:0.8", "--mode", "shots=5"]) == 2
     assert main(["detect", "werner:0.8", "--threshold", "1.5"]) == 2
     assert main(["detect", "missing-file.json"]) == 2
     assert main(["sweep-werner", "--p-min", "0.9", "--p-max", "0.5"]) == 2
+    # Each of these is rejected before any work starts: the tiny step would
+    # build a grid of about 1e299 points, and a 5-qubit plan grows as 3^n.
+    for argv in (
+        ["detect", "bell", "--seed", "-1"],
+        ["detect", "bell", "--frame-seed", "-1"],
+        ["sweep-werner", "--seed", "-1"],
+        ["sweep-werner", "--step", "nan"],
+        ["sweep-werner", "--step", "inf"],
+        ["sweep-werner", "--p-min", "0.5", "--p-max", "0.6", "--step", "1e-300"],
+        ["tree-gen", "2", "zz", "--max-depth", "0"],
+        ["tree-gen", "2", "zz", "--max-depth", "-3"],
+        ["tree-gen", "5", "zzzzz"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_shot_mode_detect_deterministic(tmp_path):

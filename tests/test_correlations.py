@@ -29,7 +29,6 @@ from entdetect import (
     random_mixed,
     random_pure,
     run_tree,
-    sampled_correlation,
     schmidt_oracle,
 )
 from entdetect.correlations import full_positions, pauli_tensor
@@ -59,20 +58,20 @@ def test_correlation_dimension_guard():
 
 def test_sampled_degenerate():
     rho = bell_phi_plus().density()
-    rec = sampled_correlation(rho, ("z", "z"), 500, np.random.default_rng(0))
+    rec = MeasurementSource(rho, 500, np.random.default_rng(0)).measure_index(("z", "z"))
     assert rec.value == 1.0 and rec.stderr == 0.0 and rec.shots == 500
 
 
 def test_sampled_concentration():
     rho = make_werner(0.42)
-    rec = sampled_correlation(rho, ("z", "z"), 10**6, np.random.default_rng(1))
+    rec = MeasurementSource(rho, 10**6, np.random.default_rng(1)).measure_index(("z", "z"))
     assert abs(rec.value - (-0.42)) < 5 * rec.stderr
 
 
 def test_sampled_error_scale():
     # stderr near T = 0 at 4500 shots matches the 0.015 scale
     rho = make_werner(0.0)
-    rec = sampled_correlation(rho, ("z", "z"), 4500, np.random.default_rng(2))
+    rec = MeasurementSource(rho, 4500, np.random.default_rng(2)).measure_index(("z", "z"))
     assert abs(rec.stderr - math.sqrt(1 / 4500)) < 2e-3
     assert abs(rec.stderr - 0.0149) < 2e-3
 
@@ -83,7 +82,8 @@ def test_sampled_unbiased():
     rng = np.random.default_rng(3)
     shots = 500
     reps = 10**4
-    values = [sampled_correlation(rho, ("z", "z"), shots, rng).value for _ in range(reps)]
+    source = MeasurementSource(rho, shots, rng)
+    values = [source.measure_index(("z", "z")).value for _ in range(reps)]
     se_mean = math.sqrt((1 - exact**2) / shots / reps)
     assert abs(np.mean(values) - exact) < 4 * se_mean
 

@@ -37,3 +37,23 @@ def test_imports_follow_layer_order():
     for module in sorted(modules):
         for dep in _relative_imports(package / f"{module}.py", modules):
             assert rank[dep] < rank[module], f"{module} imports {dep}"
+
+
+def _unused_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_modules_use_every_import():
+    # The package's public names are re-exported by __init__ alone.
+    package = Path(entdetect.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        unused = set() if path.stem == "__init__" else _unused_imports(path)
+        assert not unused, f"{path.stem} imports {unused} without using them"

@@ -8,31 +8,30 @@ from entdetect import (
     mat_equal,
     pauli_operator,
     svd,
-    tensor_product,
     tensor_product_all,
 )
 from entdetect.states import haar_unitary
 
 
 def test_tensor_product_identity():
-    assert mat_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+    assert mat_equal(tensor_product_all([np.eye(2), np.eye(2)]), np.eye(4))
 
 
 def test_tensor_product_zz_diagonal():
-    zz = tensor_product(PAULIS["z"], PAULIS["z"])
+    zz = tensor_product_all([PAULIS["z"], PAULIS["z"]])
     assert mat_equal(zz, np.diag([1, -1, -1, 1]))
 
 
 def test_tensor_product_xy_entry():
     # (sigma_x x sigma_y)[0, 3] = x[0,1] * y[0,1] = 1 * (-i)
-    xy = tensor_product(PAULIS["x"], PAULIS["y"])
+    xy = tensor_product_all([PAULIS["x"], PAULIS["y"]])
     assert abs(xy[0, 3] - (-1j)) < 1e-12
 
 
 def test_tensor_product_block_ordering():
     # first factor owns the block index
     a = np.array([[1, 2], [3, 4]], dtype=complex)
-    out = tensor_product(a, np.eye(2))
+    out = tensor_product_all([a, np.eye(2)])
     assert mat_equal(out[:2, :2], np.eye(2))
     assert mat_equal(out[:2, 2:], 2 * np.eye(2))
 
@@ -41,16 +40,17 @@ def test_tensor_product_mixed_product_rule():
     rng = np.random.default_rng(11)
     for _ in range(10):
         a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-        lhs = tensor_product(a, b) @ tensor_product(c, d)
-        rhs = tensor_product(a @ c, b @ d)
+        lhs = tensor_product_all([a, b]) @ tensor_product_all([c, d])
+        rhs = tensor_product_all([a @ c, b @ d])
         assert mat_equal(lhs, rhs, 1e-9)
 
 
 def test_tensor_product_associative():
     rng = np.random.default_rng(12)
     a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-    assert mat_equal(tensor_product(tensor_product(a, b), c), tensor_product(a, tensor_product(b, c)), 1e-9)
-    assert mat_equal(tensor_product_all([a, b, c]), tensor_product(a, tensor_product(b, c)), 1e-9)
+    left = tensor_product_all([tensor_product_all([a, b]), c])
+    assert mat_equal(left, tensor_product_all([a, tensor_product_all([b, c])]), 1e-9)
+    assert mat_equal(tensor_product_all([a, b, c]), np.kron(a, np.kron(b, c)), 1e-9)
 
 
 def test_hermitian_eigenvalues_diag():

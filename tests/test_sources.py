@@ -6,16 +6,22 @@ from entdetect import (
     DomainError,
     FilterOp,
     MeasurementSource,
+    PAULIS,
     all_full_indices,
     apply_filter,
     apply_frame,
     bell_phi_plus,
     correlation,
-    direction_operator,
     random_frame,
     random_mixed,
     tensor_product_all,
 )
+
+
+def direction_operator(direction) -> np.ndarray:
+    """The single-qubit observable n . sigma along the unit vector of direction."""
+    d = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    return d[0] * PAULIS["x"] + d[1] * PAULIS["y"] + d[2] * PAULIS["z"]
 
 
 def _oracle(rho, directions):
