@@ -62,7 +62,7 @@ from .tree import (
 )
 
 DEFAULT_SHOTS = 4500
-# The largest Werner grid sweep-werner builds (its default grid has 201 points).
+# The most Werner grid points (201 by default) and purity bins a sweep takes.
 MAX_GRID_POINTS = 100_000
 
 
@@ -243,6 +243,8 @@ def cmd_sweep_werner(args) -> int:
 
 def cmd_sweep_purity(args) -> int:
     cfg = _config_from_args(args)
+    if args.bins > MAX_GRID_POINTS:
+        raise ParseError(f"purity sweep takes at most {MAX_GRID_POINTS} bins")
     sweep = sweep_purity(args.samples, cfg, bins=args.bins)
     _emit(sweep.to_json() + "\n" if args.format == "json" else sweep.to_csv(), args.out)
     return 0

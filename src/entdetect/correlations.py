@@ -8,16 +8,17 @@ bloch_vector, full_tensor, the measurement sources) is a lookup in or a
 contraction of that tensor, and sample is the one binomial model of a
 finite-statistics measurement, which sources.MeasurementSource applies to
 every query in shot mode; pauli_tensors does the same for a whole stack
-of states. The criterion accumulator declares detection as soon as the sum
-of squared full correlations exceeds 1 (minus a configurable multiple of the
-propagated error in shot mode), by the one rule criterion_met.
+of states. criterion_add folds a run's records into a CriterionState in O(1)
+and detects once the sum of squared full correlations exceeds 1 (minus a
+multiple of the propagated error in shot mode), by the one rule
+criterion_met; a DetectionResult reads its numbers back from its records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from typing import Iterable, Optional, Tuple
 
@@ -166,7 +167,7 @@ def propagated_error(records: Iterable[CorrelationRecord]) -> float:
     at zero, where the first-order propagation would vanish.
     """
     total = 0.0
-    for r in records:  # left to right, as CriterionState.variance adds
+    for r in records:  # left to right, as CriterionState adds
         total += _variance(r)
     return math.sqrt(total)
 
@@ -184,17 +185,17 @@ def criterion_met(margin):
     return margin > _DETECTION_BOUND
 
 
-@dataclass(frozen=True)
+@dataclass
 class CriterionState:
-    """Immutable accumulator for the sum-of-squares entanglement criterion.
+    """Per-run sum-of-squares accumulator that criterion_add updates in place.
 
-    variance is the summed error variance of the records, added in record
-    order, so that sqrt(variance) equals propagated_error(records).
+    running_sum and variance add v^2 and the error variance record by record,
+    as DetectionResult does; measured holds the indices added so far.
     """
 
-    records: Tuple[CorrelationRecord, ...] = ()
     running_sum: float = 0.0
     variance: float = 0.0
+    measured: set = field(default_factory=set)
 
     @property
     def error(self) -> float:
@@ -203,24 +204,18 @@ class CriterionState:
 
 def criterion_add(
     state: CriterionState, record: CorrelationRecord, error_multiplier: float = 1.0
-) -> tuple[CriterionState, str]:
-    """Add one full-correlation record; returns (new state, verdict).
-
-    Verdict is "detected" when the running sum, after subtracting
-    error_multiplier times the propagated error, passes criterion_met; else
-    "undecided".
-    """
+) -> bool:
+    """Add one full-correlation record to state in O(1); True when the
+    running sum, after subtracting error_multiplier times the propagated
+    error, passes criterion_met."""
     if not is_full(record.index):
         raise NonFullCorrelation(f"index {format_index(record.index)} contains the identity")
-    if any(r.index == record.index for r in state.records):
+    if record.index in state.measured:
         raise DuplicateIndex(f"index {format_index(record.index)} already measured")
-    new = CriterionState(
-        state.records + (record,),
-        state.running_sum + record.value**2,
-        state.variance + _variance(record),
-    )
-    margin = new.running_sum - error_multiplier * new.error
-    return new, ("detected" if criterion_met(margin) else "undecided")
+    state.measured.add(record.index)
+    state.running_sum += record.value**2
+    state.variance += _variance(record)
+    return criterion_met(state.running_sum - error_multiplier * state.error)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,18 +223,14 @@ class DetectionResult:
     """Transcript and verdict of one detection run.
 
     records holds every measured correlation in order (local records appear
-    for calibration stages); steps counts the full-correlation measurements
-    that feed the criterion. In shot mode the verdict subtracts
-    error_multiplier * propagated_error from the running sum before
-    comparing against 1.
+    for calibration stages); steps, sum_of_squares and propagated_error are
+    read back from its full records. In shot mode the verdict compares the
+    sum minus error_multiplier * propagated_error against 1.
     """
 
     records: Tuple[CorrelationRecord, ...]
-    sum_of_squares: float
     detected: bool
-    steps: int
     strategy: str
-    propagated_error: float = 0.0
     details: dict = field(default_factory=dict)
 
     @property
@@ -252,6 +243,19 @@ class DetectionResult:
         # keeps the resized tuples on its per-size free lists, which grows
         # the resident memory of a long run.
         return tuple([r for r in self.records if is_full(r.index)])
+
+    @property
+    def steps(self) -> int:
+        return len(self.full_records)
+
+    @property
+    def sum_of_squares(self) -> float:
+        # A left fold from 0.0, so that it equals CriterionState.running_sum.
+        return reduce(lambda total, r: total + r.value**2, self.full_records, 0.0)
+
+    @property
+    def propagated_error(self) -> float:
+        return propagated_error(self.full_records)
 
 
 @dataclass(frozen=True, eq=False)

@@ -172,10 +172,9 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
         records, (bloch_a, bloch_b), (err_a, err_b) = measure_bloch(source)
         transcript += records
 
-    crit = CriterionState()
     if np.linalg.norm(bloch_a) < thr_a or np.linalg.norm(bloch_b) < thr_b:
         details["abort"] = "bloch-degenerate"
-        return DetectionResult(tuple(transcript), 0.0, False, 0, "schmidt", 0.0, details)
+        return DetectionResult(tuple(transcript), False, "schmidt", details)
 
     xi_a, phi_a = bloch_to_basis(bloch_a)
     xi_b, phi_b = bloch_to_basis(bloch_b)
@@ -186,19 +185,18 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
         "theta_estimate": 0.5 * math.acos(min(1.0, float(np.linalg.norm(bloch_a)))),
     }
 
-    def verify(axis_a, axis_b):
-        nonlocal crit
+    crit = CriterionState()
+
+    def verify(axis_a, axis_b) -> bool:
         value, stderr = source.measure_directions([dirs_a[axis_a], dirs_b[axis_b]])
-        rec = CorrelationRecord((axis_a, axis_b), value, stderr, source.shots)
-        transcript.append(rec)
-        crit, verdict = criterion_add(crit, rec, config.error_multiplier)
-        return rec, verdict == "detected"
+        transcript.append(CorrelationRecord((axis_a, axis_b), value, stderr, source.shots))
+        return criterion_add(crit, transcript[-1], config.error_multiplier)
 
     verify("z", "z")
-    rec_yy, detected = verify("y", "y")
+    detected = verify("y", "y")
 
     try:
-        cos_phase = relative_phase(rec_yy.value, bloch_a)
+        cos_phase = relative_phase(transcript[-1].value, bloch_a)  # T_y'y''
     except DegenerateDenominator:
         cos_phase = None
     details["cos_phase"] = cos_phase
@@ -206,9 +204,7 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
 
     small_phase = cos_phase is not None and abs(cos_phase) < PHASE_THRESHOLD
     if config.always_extra or (not detected and small_phase):
-        _, detected = verify("x", "y")
-        if not detected:
-            _, detected = verify("y", "x")
+        detected = verify("x", "y") or verify("y", "x")
 
     # Error of the accumulated sum as an estimator of the pure-state identity
     # 1 + sin^2(2 theta): besides the verification-shot term this includes the
@@ -219,12 +215,4 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
     )
     basis_term = 2.0 * sdir_sq * max(1.0, crit.running_sum)
     details["identity_error"] = math.sqrt(crit.error**2 + basis_term**2)
-    return DetectionResult(
-        records=tuple(transcript),
-        sum_of_squares=crit.running_sum,
-        detected=detected,
-        steps=len(crit.records),
-        strategy="schmidt",
-        propagated_error=crit.error,
-        details=details,
-    )
+    return DetectionResult(tuple(transcript), detected, "schmidt", details)

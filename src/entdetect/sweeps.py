@@ -237,11 +237,11 @@ def sweep_purity(
     entangled_count = np.zeros(bins, dtype=int)
     detected_count = np.zeros(bins, dtype=int)
     step_sums = np.zeros(bins)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_samples)
+    root = np.random.SeedSequence(cfg.seed)
     plan = CompiledTree(tree) if cfg.shots is None else None
     stack = np.empty((CHUNK, 4, 4), dtype=complex)
     for start in range(0, n_samples, CHUNK):
-        batch = seeds[start : start + CHUNK]
+        batch = root.spawn(min(CHUNK, n_samples - start))  # continues the child count
         chunk = stack[: len(batch)]
         rngs = []  # kept in shot mode, where the runs continue each stream
         for i, seq in enumerate(batch):

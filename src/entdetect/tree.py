@@ -233,48 +233,33 @@ def priority_order(
     return sorted(remaining, key=lambda idx: (spent(idx), idx))
 
 
-def _result(crit, detected, strategy) -> DetectionResult:
-    return DetectionResult(
-        records=crit.records,
-        sum_of_squares=crit.running_sum,
-        detected=detected,
-        steps=len(crit.records),
-        strategy=strategy,
-        propagated_error=crit.error,
-    )
-
-
 def run_tree(source, tree: DecisionTree, *, error_multiplier: float = 1.0) -> DetectionResult:
     """Walk the tree, then the priority queue, until detection or exhaustion.
 
     Branching uses the central value against the threshold; in shot mode the
-    detection verdict additionally subtracts the propagated error. No index
-    is measured twice (criterion_add raises DuplicateIndex), so a run ends
+    detection verdict additionally subtracts the propagated error. The
+    priority stage reads the CriterionState's measured set; a repeated index
+    (possible in a hand-built tree) raises DuplicateIndex, so a run ends
     within 3^n steps.
     """
     if source.n_qubits != tree.n_qubits:
         raise DimensionMismatch(
             f"source has {source.n_qubits} qubits, tree expects {tree.n_qubits}"
         )
-    crit = CriterionState()
-    strategy = "tree"
+    crit, records = CriterionState(), []
+
+    def detects(index: Index) -> bool:
+        records.append(source.measure_index(index))
+        return criterion_add(crit, records[-1], error_multiplier)
+
     node = tree.root
     while node is not None:
-        rec = source.measure_index(node.index)
-        crit, verdict = criterion_add(crit, rec, error_multiplier)
-        if verdict == "detected":
-            return _result(crit, True, strategy)
-        node = node.big if abs(rec.value) >= tree.threshold else node.small
-    measured = {r.index for r in crit.records}
-    queue = priority_order(crit.records, [i for i in all_full_indices(tree.n_qubits) if i not in measured])
-    if queue:
-        strategy = "tree+priority"
-    for index in queue:
-        rec = source.measure_index(index)
-        crit, verdict = criterion_add(crit, rec, error_multiplier)
-        if verdict == "detected":
-            return _result(crit, True, strategy)
-    return _result(crit, False, strategy)
+        if detects(node.index):
+            return DetectionResult(tuple(records), True, "tree")
+        node = node.big if abs(records[-1].value) >= tree.threshold else node.small
+    queue = priority_order(records, [i for i in all_full_indices(tree.n_qubits) if i not in crit.measured])
+    detected = any(detects(index) for index in queue)  # stops at the first detection
+    return DetectionResult(tuple(records), detected, "tree+priority" if queue else "tree")
 
 
 _RENAME_SHIFT = {"x": 0, "z": 1, "y": 2}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -104,6 +105,40 @@ def test_details_serialize_as_json(path):
         assert ("filter" in details) == (path in ("protocol-filtered", "protocol-aborted"))
         assert ("abort" in details) == (path == "protocol-aborted")
         assert details["mode"] == ("phase-gated" if path == "protocol-phase-gated" else "always-extra")
+
+
+def _result_digest(result):
+    text = json.dumps(
+        [
+            [(ed.format_index(r.index), r.value.hex(), r.stderr, r.shots) for r in result.records],
+            result.steps,
+            result.sum_of_squares.hex(),
+            result.propagated_error.hex(),
+            result.strategy,
+            json.dumps(result.details),
+        ]
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of every record, the steps, sum, error, strategy and details of
+# each DETAIL_RUNS path, pinned while the result still stored its numbers
+# next to the records: deriving them from the records must change no bit.
+RESULT_DIGESTS = {
+    "tree-exact": "59c08218fcd3473571c0f17e87c8c5792c64d5a0d12ea4d9cb27ac9d9195daa9",
+    "tree-shots": "fc716b6f9159499ff4f3dc98f780854dc4f75275b84774144e451373c32a19d3",
+    "bloch-3q": "c5928c27249c886be76b946fc7d979b81246597b176022578c5198599c595893",
+    "bloch-4q": "cf699aadbbcd7d560d7afabb80dd4c7dfb4cabf53143aa173f5494eadc6543cf",
+    "protocol-filtered": "843eff0540cff55f87ffa7c28413f29c18ec78a4a5560911a6ee7d184e38ada8",
+    "protocol-unfiltered": "673f2e0baf84bdc45ece37ab72887a0e99be5ca29b0a747b6438e83a54a62717",
+    "protocol-phase-gated": "bb393b12fd73c2052741d2c3a01ec522c41f2b99e7cee33a9673319285ed7283",
+    "protocol-aborted": "e854de4058c2ae1648ffc77b2830e3e140b666ad7606643b6b15a0948284d3f4",
+}
+
+
+@pytest.mark.parametrize("path", DETAIL_RUNS)
+def test_result_payload_pinned(path):
+    assert _result_digest(DETAIL_RUNS[path]()) == RESULT_DIGESTS[path]
 
 
 def test_schmidt_rejects_three_qubits():
@@ -250,6 +285,11 @@ def test_sweep_werner_zero_repeats(capsys):
 
 def test_sweep_purity_zero_bins(capsys):
     assert main(["sweep-purity", "--bins", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_purity_rejects_too_many_bins(capsys):
+    assert main(["sweep-purity", "--samples", "1000", "--bins", "100001"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

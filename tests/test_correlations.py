@@ -112,45 +112,45 @@ def test_bloch_vector_filtered_state():
 
 def test_criterion_accumulator():
     state = CriterionState()
-    state, verdict = criterion_add(state, CorrelationRecord(("z", "z"), 0.980))
-    assert verdict == "undecided"
-    state, verdict = criterion_add(state, CorrelationRecord(("y", "y"), -0.949))
-    assert verdict == "detected"
+    assert not criterion_add(state, CorrelationRecord(("z", "z"), 0.980))
+    assert criterion_add(state, CorrelationRecord(("y", "y"), -0.949))
     # 0.980^2 + 0.949^2 computed directly
     assert abs(state.running_sum - 1.861001) < 1e-12
 
 
 def test_criterion_small_value_undecided():
-    state, verdict = criterion_add(CriterionState(), CorrelationRecord(("z", "z"), -0.056))
-    assert verdict == "undecided"
+    state = CriterionState()
+    assert not criterion_add(state, CorrelationRecord(("z", "z"), -0.056))
     assert abs(state.running_sum - 0.003136) < 1e-12
 
 
 def test_criterion_empty():
     state = CriterionState()
-    assert state.running_sum == 0.0 and state.records == ()
+    assert state.running_sum == 0.0 and state.measured == set()
 
 
 def test_criterion_rejects_duplicates_and_locals():
-    state, _ = criterion_add(CriterionState(), CorrelationRecord(("z", "z"), 0.5))
+    state = CriterionState()
+    criterion_add(state, CorrelationRecord(("z", "z"), 0.5))
     with pytest.raises(DuplicateIndex):
         criterion_add(state, CorrelationRecord(("z", "z"), 0.1))
     with pytest.raises(NonFullCorrelation):
         criterion_add(state, CorrelationRecord(("z", "0"), 0.1))
+    # a rejected record leaves the accumulator as it was
+    assert state.running_sum == 0.25 and state.measured == {("z", "z")}
 
 
 def test_criterion_shot_mode_error_subtraction():
     # sum slightly above 1 but within one propagated error: undecided
     rec1 = CorrelationRecord(("z", "z"), 0.9, stderr=0.02, shots=4500)
     rec2 = CorrelationRecord(("y", "y"), 0.45, stderr=0.02, shots=4500)
-    state, verdict = criterion_add(CriterionState(), rec1)
-    state, verdict = criterion_add(state, rec2, error_multiplier=1.0)
+    state = CriterionState()
+    criterion_add(state, rec1)
+    assert not criterion_add(state, rec2, error_multiplier=1.0)
     assert state.running_sum > 1.0
-    assert verdict == "undecided"
-    _, verdict0 = criterion_add(
-        criterion_add(CriterionState(), rec1, 0.0)[0], rec2, error_multiplier=0.0
-    )
-    assert verdict0 == "detected"
+    state = CriterionState()
+    criterion_add(state, rec1, 0.0)
+    assert criterion_add(state, rec2, error_multiplier=0.0)
 
 
 def test_record_invariant():
@@ -247,10 +247,12 @@ def test_running_error_matches_propagated_error():
     result = run_tree(source, generate_tree(4, ("z",) * 4))
     assert not result.detected and result.steps == 81
     state = CriterionState()
-    for rec in result.records:
-        state, _ = criterion_add(state, rec)
-        assert state.error == propagated_error(state.records)
+    for k, rec in enumerate(result.records, 1):
+        criterion_add(state, rec)
+        assert state.error == propagated_error(result.records[:k])
     assert result.propagated_error == propagated_error(result.records)
+    # the numbers the result reads from its records equal the running fold
+    assert (result.sum_of_squares, result.propagated_error) == (state.running_sum, state.error)
 
 
 def test_index_helpers():

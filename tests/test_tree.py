@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from entdetect import tree as tree_module
 from entdetect import (
     CorrelationRecord,
+    DecisionTree,
     DensityMatrix,
     DimensionMismatch,
+    DuplicateIndex,
     MeasurementSource,
     all_full_indices,
     anticommute,
@@ -38,6 +40,7 @@ from entdetect import (
     run_with_bloch_start,
     schmidt_oracle,
     starting_index_from_bloch,
+    TreeNode,
     tree_from_dict,
     tree_to_dict,
     validate_tree,
@@ -128,6 +131,14 @@ def test_default_tree_structure():
     assert tree.threshold == 0.5
     # an exact run that never detects stops after 3^2 steps
     assert run_tree(MeasurementSource(make_werner(0.5)), tree).steps == 9
+
+
+def test_run_tree_rejects_a_repeated_index():
+    # A hand-built tree that was never validated measures zz twice on a Bell
+    # state (|T_zz| = 1 takes the big branch); the criterion refuses the repeat.
+    tree = DecisionTree(TreeNode(("z", "z"), big=TreeNode(("z", "z"))), 2)
+    with pytest.raises(DuplicateIndex):
+        run_tree(MeasurementSource(bell_phi_plus().density()), tree)
 
 
 def test_worked_trace_two_steps():
