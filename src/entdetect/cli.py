@@ -5,7 +5,9 @@ Subcommands: detect | schmidt | sweep-werner | sweep-purity | state-gen |
 tree-gen. The sweeps themselves live in entdetect.sweeps; ExperimentConfig
 holds the settings the commands share, and file paths stay on the parsed
 arguments. Every command is deterministic under a fixed --seed, shot mode
-included; sweep samples draw their seeds from a spawned SeedSequence.
+included: a single run draws its shots from default_rng(seed); the purity
+sweep draws sample i from the i-th SeedSequence(seed) child, and the shot
+noise of either sweep comes from SeedSequence([seed, 1]) (entdetect.sweeps).
 Exit codes: 0 = ran (the verdict is data in the output), 2 = input error,
 3 = numerical failure.
 """

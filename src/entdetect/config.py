@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 MAX_QUBITS = 4
-MAX_DIM = 2**MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -16,23 +15,21 @@ class Tolerances:
                     as genuinely negative (entangled verdict)
     zero_projection norms below this are treated as failed projections
     phase_denominator  minimum value of 1 - |bloch|^2 for phase estimation
-    criterion       (derived) detection needs a margin above 1 + criterion,
-                    so that no matrix validation accepts is detected when it
-                    lies within these slacks of a separable state. Say m
-                    passes validation on d = 2^n dimensions. Only its
-                    Hermitian part H enters the correlations, and eigvalsh
-                    reads one triangle of m, which differs from H by at most
-                    equality / 2 per off-diagonal entry; so no eigenvalue of
-                    H lies below -s with s = psd + (d - 1) * equality / 2.
-                    Write H = P - N with P / tr P separable and N >= 0
-                    holding the (at most d - 1) negative eigenvalues. The
-                    full correlations T are linear in the matrix, and their
-                    Euclidean length is at most tr P <= 1 + equality +
-                    (d - 1) s on P (a separable state's is at most 1) and at
-                    most sqrt(d tr N^2) <= sqrt(d (d - 1)) s on N. So |T(H)|
-                    < 1 + equality + 2 d s, taken at d = MAX_DIM, with more
-                    than s to spare: far more than the rounding of a sum of
-                    81 squares.
+    criterion(n)    (derived) an n-qubit detection needs a margin above
+                    1 + criterion(n), so that no matrix validation accepts
+                    is detected when it lies within these slacks of a
+                    separable state. Say m passes validation on d = 2^n
+                    dimensions. The correlations read only its Hermitian
+                    part H, and validation takes the eigenvalues of H, so
+                    none lies below -s with s = psd. Write H = P - N with
+                    P / tr P separable and N >= 0 holding the (at most
+                    d - 1) negative eigenvalues. The full correlations T
+                    are linear in the matrix, and their Euclidean length is
+                    at most tr P <= 1 + equality + (d - 1) s on P (a
+                    separable state's is at most 1) and at most
+                    sqrt(d tr N^2) <= sqrt(d (d - 1)) s on N. So |T(H)|
+                    < 1 + equality + 2 d s, with more than s to spare: far
+                    more than the rounding of a sum of 3^n squares.
     """
 
     equality: float = 1e-9
@@ -41,10 +38,9 @@ class Tolerances:
     zero_projection: float = 1e-12
     phase_denominator: float = 1e-6
 
-    @property
-    def criterion(self) -> float:
-        slack = self.psd + (MAX_DIM - 1) * self.equality / 2
-        return (1.0 + self.equality + 2 * MAX_DIM * slack) ** 2 - 1.0
+    def criterion(self, n_qubits: int) -> float:
+        d = 2**n_qubits
+        return (1.0 + self.equality + 2 * d * self.psd) ** 2 - 1.0
 
 
 TOL = Tolerances()

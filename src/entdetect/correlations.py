@@ -11,7 +11,8 @@ every query in shot mode; pauli_tensors does the same for a whole stack
 of states. criterion_add folds a run's records into a CriterionState in O(1)
 and detects once the sum of squared full correlations exceeds 1 (minus a
 multiple of the propagated error in shot mode), by the one rule
-criterion_met; a DetectionResult reads its numbers back from its records.
+criterion_met, which the batched sweep walker applies to whole stacks; a
+DetectionResult reads its numbers back from its records.
 """
 
 from __future__ import annotations
@@ -116,15 +117,22 @@ def lookup(t: np.ndarray, index: Index) -> float:
         raise DomainError(f"unknown Pauli label {exc.args[0]!r}") from None
 
 
-def sample(t: float, shots: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Binomial finite-statistics model of a correlation with exact value t.
+def _sqrt(x):
+    # math.sqrt on a float (Python's x ** 0.5 is not always correctly
+    # rounded), np.sqrt on an array: the same bits either way.
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def sample(t, shots: int, rng: np.random.Generator):
+    """Binomial finite-statistics model of a correlation with exact value t,
+    or of each exact value of an array t, drawn in C order.
 
     n_plus ~ Binomial(shots, (1+t)/2); returns value = (n_plus - n_minus)/shots
     and stderr = sqrt((1 - value^2)/shots).
     """
-    n_plus = int(rng.binomial(shots, (1.0 + t) / 2.0))
+    n_plus = rng.binomial(shots, (1.0 + t) / 2.0)
     value = (2 * n_plus - shots) / shots
-    return value, math.sqrt(max(0.0, 1.0 - value * value) / shots)
+    return value, _sqrt((1.0 - value * value) / shots)
 
 
 def correlation(rho: DensityMatrix, index: Index) -> float:
@@ -168,21 +176,24 @@ def propagated_error(records: Iterable[CorrelationRecord]) -> float:
     """
     total = 0.0
     for r in records:  # left to right, as CriterionState adds
-        total += _variance(r)
+        total += error_variance(r.value, r.stderr)
     return math.sqrt(total)
 
 
-def _variance(r: CorrelationRecord) -> float:
-    return 4.0 * (r.value * r.stderr) ** 2 + 2.0 * r.stderr**4
+def error_variance(value, stderr):
+    """Variance 4 v^2 sigma^2 + 2 sigma^4 of one squared value, for floats or
+    arrays (numpy's powers may differ from Python's in the last bit)."""
+    return 4.0 * (value * stderr) ** 2 + 2.0 * stderr**4
 
 
-_DETECTION_BOUND = 1.0 + TOL.criterion
+_DETECTION_BOUNDS = tuple(1.0 + TOL.criterion(n) for n in range(MAX_QUBITS + 1))
 
 
-def criterion_met(margin):
-    """The detection rule: a margin (running sum minus the error allowance)
-    above 1 + TOL.criterion. Accepts a float or an array of margins."""
-    return margin > _DETECTION_BOUND
+def criterion_met(running_sum, variance, error_multiplier, n_qubits: int):
+    """The detection rule: the running sum of squares, less error_multiplier
+    times its standard error sqrt(variance), above 1 + TOL.criterion(n_qubits).
+    Accepts floats or arrays; at variance 0 the margin is the sum, bit for bit."""
+    return running_sum - error_multiplier * _sqrt(variance) > _DETECTION_BOUNDS[n_qubits]
 
 
 @dataclass
@@ -214,8 +225,8 @@ def criterion_add(
         raise DuplicateIndex(f"index {format_index(record.index)} already measured")
     state.measured.add(record.index)
     state.running_sum += record.value**2
-    state.variance += _variance(record)
-    return criterion_met(state.running_sum - error_multiplier * state.error)
+    state.variance += error_variance(record.value, record.stderr)
+    return criterion_met(state.running_sum, state.variance, error_multiplier, len(record.index))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ import numpy as np
 from .config import TOL
 from .correlations import criterion_met, full_tensor
 from .errors import UnsupportedDimension
-from .linalg import hermitian_eigenvalues
 from .states import DensityMatrix
 
 
@@ -31,9 +30,10 @@ def ppt_test(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (entangled, minimum eigenvalue of the partial transpose).
 
     Eigenvalues within TOL.pt_negativity of zero count as non-negative, so
-    boundary states are classified separable.
+    boundary states are classified separable. The matrices are taken as
+    validated density matrices (DensityMatrix, check_density).
     """
-    min_eig = hermitian_eigenvalues(partial_transpose_second(matrices))[..., 0]
+    min_eig = np.linalg.eigvalsh(partial_transpose_second(matrices))[..., 0]
     return min_eig < -TOL.pt_negativity, min_eig
 
 
@@ -48,4 +48,4 @@ def ppt_verdict(rho: DensityMatrix) -> EntanglementVerdict:
 def brute_force_criterion(rho: DensityMatrix) -> tuple[float, bool]:
     """Sum of squares over the complete full-correlation tensor."""
     total = full_tensor(rho).sum_squares()
-    return total, criterion_met(total)
+    return total, criterion_met(total, 0.0, 0.0, rho.n_qubits)

@@ -62,10 +62,12 @@ def check_density(matrices: np.ndarray) -> None:
 
     The checks run in that order over the whole stack; the first one that
     some matrix breaks raises NotHermitian or DomainError, naming the first
-    such matrix.
+    such matrix. The eigenvalues are those of the Hermitian part
+    (m + m^dagger) / 2, the part every correlation reads.
     """
     # One scalar test per check; the offending matrix is located only on failure.
-    asym = np.abs(matrices - np.conjugate(matrices).swapaxes(-2, -1))
+    adjoint = np.conjugate(matrices).swapaxes(-2, -1)
+    asym = np.abs(matrices - adjoint)
     if asym.max() > TOL.equality:
         asym = asym.max(axis=(-2, -1))
         raise NotHermitian(f"asymmetry {_first(asym, asym > TOL.equality):.3e} exceeds tolerance")
@@ -73,7 +75,7 @@ def check_density(matrices: np.ndarray) -> None:
     off = abs(tr - 1.0)
     if off.max() > TOL.equality:
         raise DomainError(f"trace {complex(_first(tr, off > TOL.equality))} differs from 1 beyond tolerance")
-    min_eig = np.linalg.eigvalsh(matrices)[..., 0]
+    min_eig = np.linalg.eigvalsh((matrices + adjoint) / 2)[..., 0]
     if min_eig.min() < -TOL.psd:
         raise DomainError(
             f"minimum eigenvalue {_first(min_eig, min_eig < -TOL.psd):.3e} below -{TOL.psd:.1e}"

@@ -1,16 +1,21 @@
 """Parameter sweeps: detection across the Werner family, and across the
 Ginibre ensemble binned by purity.
 
-The exact purity sweep runs in batches. It draws each sample from its own
-spawned generator, as a single run would, into a stack of up to CHUNK
-matrices; the density-matrix checks, the PPT oracle, the purities and the
-Pauli tensors then each run once on the whole stack, through the same
-helpers the per-state functions call. CompiledTree.walk takes every state
-of the stack through the decision tree and then the priority queue at once,
-with the tree expanded into arrays. The Werner sweep (201 states on the
-CLI's default grid) and the shot-mode sweeps keep the per-state run_tree
-loop; in shot mode each sample's shot stream continues its own generator,
-which a batch would reorder.
+Both sweeps run on stacks of at most CHUNK states. A sweep takes the
+exact full correlations of a stack from its Pauli tensors; in shot mode it
+then draws every value of every row at once through the one binomial
+model, correlations.sample. A run measures each index at most once, and
+each draw is an independent binomial given the state, so drawing all 3^n
+values up front gives every run the distribution of run_tree's lazy draws.
+CompiledTree.walk then takes every row of the stack through the decision
+tree and the priority queue at once, with the tree expanded into arrays,
+and detects by criterion_met, the rule of run_tree's criterion_add.
+
+Seeding: the purity sweep draws sample i from the i-th generator spawned
+from SeedSequence(seed), so both modes draw the same states. The shot
+noise of either sweep comes from one generator seeded with
+SeedSequence([seed, 1]), drawn row by row in sample order, so it does not
+depend on CHUNK.
 """
 
 from __future__ import annotations
@@ -22,24 +27,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .correlations import all_full_indices, criterion_met, full_positions, pauli_tensors
+from .correlations import all_full_indices, criterion_met, error_variance
+from .correlations import full_positions, pauli_tensors, sample
 from .errors import DomainError
 from .oracles import ppt_test
-from .sources import MeasurementSource
-from .states import (
-    DensityMatrix,
-    check_density,
-    ginibre_product,
-    make_werner,
-    purities,
-    unit_trace,
-)
-from .tree import DecisionTree, anticommutation_table, default_tree_2q, run_tree
+from .states import check_density, ginibre_product, make_werner, purities, unit_trace
+from .tree import DecisionTree, anticommutation_table, default_tree_2q
 
 MIN_SHOTS = 100
-# Samples drawn and walked together: large enough to amortize the per-batch
+# Rows drawn and walked together: large enough to amortize the per-batch
 # numpy calls, small enough that memory does not grow with the sample count.
 CHUNK = 256
+_FULL_2Q = full_positions(2)  # where the two-qubit full values sit in a Pauli tensor
 
 
 @dataclass
@@ -95,7 +94,7 @@ class SweepResult:
 
 
 class Walk(NamedTuple):
-    """Outcome of CompiledTree.walk for each state: the verdict, the number of
+    """Outcome of CompiledTree.walk for each row: the verdict, the number of
     criterion steps, and the measured full indices in order, as positions in
     all_full_indices(n) padded with -1."""
 
@@ -105,16 +104,14 @@ class Walk(NamedTuple):
 
 
 class CompiledTree:
-    """A decision tree expanded once into arrays, to walk a stack of states
-    through it in exact mode (walk). Node k measures the full index
-    full_id[k] and continues with node big[k] or small[k] (-1: none); the
-    root is node 0."""
+    """A decision tree expanded once into arrays, to walk a stack of rows
+    through it (walk). Node k measures the full index full_id[k] and
+    continues with node big[k] or small[k] (-1: none); the root is node 0."""
 
     def __init__(self, tree: DecisionTree):
-        n = tree.n_qubits
+        n = self.n_qubits = tree.n_qubits
         fulls = all_full_indices(n)
         ids = {idx: k for k, idx in enumerate(fulls)}
-        self.position = full_positions(n)
         self.anti = anticommutation_table(fulls)
         self.lex_rank = np.argsort(np.argsort(np.array(["".join(idx) for idx in fulls])))
         self.threshold = tree.threshold
@@ -131,21 +128,23 @@ class CompiledTree:
         self.full_id = np.array(full_id)
         self.big, self.small = np.array(children).T
 
-    def walk(self, tensors: np.ndarray) -> Walk:
-        """run_tree in exact mode for a stack of states at once.
+    def walk(self, values: np.ndarray, stderrs=0.0, error_multiplier: float = 1.0) -> Walk:
+        """run_tree for a stack of rows at once.
 
-        tensors is a (N, 4^n) stack of flattened Pauli tensors
-        (pauli_tensors). Each state takes the path run_tree would take,
-        adding v^2 to its running sum in the same order and stopping at
-        detection by criterion_met; a state that leaves the tree undetected
+        values is a (N, 3^n) stack of the values each row's source would
+        return for all_full_indices(n), and stderrs their standard errors (0
+        in exact mode). Each row takes the path run_tree would take, adding
+        v^2 and its error variance in the same order and stopping at
+        detection by criterion_met; a row that leaves the tree undetected
         continues through priority_order's queue: unmeasured indices by their
         spent budget, summed record by record in record order, ties broken
         by the index.
         """
-        values = tensors[:, self.position]
         squares = values * values
+        terms = error_variance(values, stderrs)
         count, n_full = values.shape
         total = np.zeros(count)
+        variance = np.zeros(count)
         steps = np.zeros(count, dtype=int)
         detected = np.zeros(count, dtype=bool)
         sequence = np.full((count, n_full), -1)
@@ -153,9 +152,10 @@ class CompiledTree:
 
         def measure(live, full):
             total[live] += squares[live, full]
+            variance[live] += terms[live, full]
             sequence[live, steps[live]] = full
             steps[live] += 1
-            hit = criterion_met(total[live])
+            hit = criterion_met(total[live], variance[live], error_multiplier, self.n_qubits)
             detected[live[hit]] = True
             return hit
 
@@ -186,36 +186,51 @@ class CompiledTree:
         return Walk(detected, steps, sequence)
 
 
+def _sweep(chunks, parameters, cfg: ExperimentConfig) -> SweepResult:
+    """Walk every run of the chunks through the default tree and tally the
+    runs by group, one row per group that ran at least once.
+
+    chunks yields (group, exact) pairs: a row of exact holds one run's values
+    for all_full_indices(2), and group the index of the parameter it counts
+    toward. In shot mode the values are first drawn from the sweep's noise
+    generator.
+    """
+    plan = CompiledTree(default_tree_2q(cfg.threshold))
+    noise = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+    runs, hits = np.zeros((2, len(parameters)), dtype=int)
+    steps = np.zeros(len(parameters))
+    for group, exact in chunks:
+        if cfg.shots is None:
+            walk = plan.walk(exact)
+        else:
+            walk = plan.walk(*sample(exact, cfg.shots, noise), cfg.error_multiplier)
+        np.add.at(runs, group, 1)
+        np.add.at(hits, group[walk.detected], 1)
+        np.add.at(steps, group[walk.detected], walk.steps[walk.detected])
+    result = SweepResult()
+    for p, n, h, s in zip(parameters, runs, hits, steps):
+        if n:
+            result.rows.append(SweepRow(float(p), h / n, s / h if h else None, int(n), cfg.seed))
+    return result
+
+
 def sweep_werner(
     p_values, cfg: ExperimentConfig, repeats: int = 20
 ) -> SweepResult:
-    """Detection across the Werner family, one row per mixing probability."""
+    """Detection across the Werner family, one row per mixing probability;
+    each probability runs once in exact mode and repeats times in shot mode."""
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
-    result = SweepResult()
-    tree = default_tree_2q(cfg.threshold)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(p_values))
-    for p, seq in zip(p_values, seeds):
-        state = make_werner(p)
-        n_runs = 1 if cfg.shots is None else repeats
-        rng = np.random.default_rng(seq)
-        detected, steps = 0, []
-        for _ in range(n_runs):
-            source = MeasurementSource(state, cfg.shots, rng)
-            run = run_tree(source, tree, error_multiplier=cfg.error_multiplier)
-            if run.detected:
-                detected += 1
-                steps.append(run.steps)
-        result.rows.append(
-            SweepRow(
-                parameter=float(p),
-                fraction=detected / n_runs,
-                mean_steps=(sum(steps) / len(steps)) if steps else None,
-                n_samples=n_runs,
-                seed=cfg.seed,
-            )
-        )
-    return result
+    n_runs = 1 if cfg.shots is None else repeats
+    total = len(p_values) * n_runs
+
+    def chunks():
+        for start in range(0, total, CHUNK):
+            point = np.arange(start, min(start + CHUNK, total)) // n_runs
+            werner = [make_werner(p).matrix for p in p_values[point[0] : point[-1] + 1]]
+            yield point, pauli_tensors(np.array(werner))[point - point[0]][:, _FULL_2Q]
+
+    return _sweep(chunks(), p_values, cfg)
 
 
 def sweep_purity(
@@ -232,56 +247,21 @@ def sweep_purity(
         raise DomainError(f"purity sweep needs at least 1000 samples, got {n_samples}")
     if bins < 1:
         raise DomainError(f"purity sweep needs at least one bin, got {bins}")
-    tree = default_tree_2q(cfg.threshold)
     edges = np.linspace(0.25, 1.0, bins + 1)
-    entangled_count = np.zeros(bins, dtype=int)
-    detected_count = np.zeros(bins, dtype=int)
-    step_sums = np.zeros(bins)
-    root = np.random.SeedSequence(cfg.seed)
-    plan = CompiledTree(tree) if cfg.shots is None else None
-    stack = np.empty((CHUNK, 4, 4), dtype=complex)
-    for start in range(0, n_samples, CHUNK):
-        batch = root.spawn(min(CHUNK, n_samples - start))  # continues the child count
-        chunk = stack[: len(batch)]
-        rngs = []  # kept in shot mode, where the runs continue each stream
-        for i, seq in enumerate(batch):
-            rng = np.random.default_rng(seq)
-            chunk[i] = ginibre_product(4, int(rng.integers(1, 5)), rng)
-            if plan is None:
-                rngs.append(rng)
-        chunk = unit_trace(chunk)
-        check_density(chunk)
-        entangled = np.flatnonzero(ppt_test(chunk)[0])
-        rhos = chunk[entangled]
-        b = np.minimum(((purities(rhos) - 0.25) / (0.75 / bins)).astype(int), bins - 1)
-        np.add.at(entangled_count, b, 1)
-        if plan is not None:
-            walk = plan.walk(pauli_tensors(rhos))
-            detected, steps = walk.detected, walk.steps
-        else:
-            runs = [
-                run_tree(
-                    MeasurementSource(DensityMatrix(2, rho), cfg.shots, rngs[i]),
-                    tree,
-                    error_multiplier=cfg.error_multiplier,
-                )
-                for rho, i in zip(rhos, entangled)
-            ]
-            detected = np.array([run.detected for run in runs], dtype=bool)
-            steps = np.array([run.steps for run in runs], dtype=int)
-        np.add.at(detected_count, b[detected], 1)
-        np.add.at(step_sums, b[detected], steps[detected])
-    result = SweepResult()
-    for b in range(bins):
-        if entangled_count[b] == 0:
-            continue
-        result.rows.append(
-            SweepRow(
-                parameter=float((edges[b] + edges[b + 1]) / 2),
-                fraction=detected_count[b] / entangled_count[b],
-                mean_steps=(step_sums[b] / detected_count[b]) if detected_count[b] else None,
-                n_samples=int(entangled_count[b]),
-                seed=cfg.seed,
-            )
-        )
-    return result
+
+    def chunks():
+        root = np.random.SeedSequence(cfg.seed)
+        stack = np.empty((CHUNK, 4, 4), dtype=complex)
+        for start in range(0, n_samples, CHUNK):
+            batch = root.spawn(min(CHUNK, n_samples - start))  # continues the child count
+            chunk = stack[: len(batch)]
+            for i, seq in enumerate(batch):
+                rng = np.random.default_rng(seq)
+                chunk[i] = ginibre_product(4, int(rng.integers(1, 5)), rng)
+            chunk = unit_trace(chunk)
+            check_density(chunk)
+            rhos = chunk[ppt_test(chunk)[0]]
+            b = np.minimum(((purities(rhos) - 0.25) / (0.75 / bins)).astype(int), bins - 1)
+            yield b, pauli_tensors(rhos)[:, _FULL_2Q]
+
+    return _sweep(chunks(), (edges[:-1] + edges[1:]) / 2, cfg)

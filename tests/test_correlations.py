@@ -31,7 +31,8 @@ from entdetect import (
     run_tree,
     schmidt_oracle,
 )
-from entdetect.correlations import full_positions, pauli_tensor
+from entdetect.config import TOL
+from entdetect.correlations import criterion_met, full_positions, pauli_tensor, sample
 from entdetect.tree import anticommute
 
 
@@ -86,6 +87,27 @@ def test_sampled_unbiased():
     values = [source.measure_index(("z", "z")).value for _ in range(reps)]
     se_mean = math.sqrt((1 - exact**2) / shots / reps)
     assert abs(np.mean(values) - exact) < 4 * se_mean
+
+
+def test_sample_of_a_stack_matches_scalar_draws_bit_for_bit():
+    exact = np.random.default_rng(4).uniform(-1.0, 1.0, (40, 9))
+    exact[0, :3] = [1.0, -1.0, 0.0]
+    for shots in (100, 4500):
+        values, stderrs = sample(exact, shots, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        scalar = [sample(float(t), shots, rng) for t in exact.ravel()]
+        assert values.ravel().tolist() == [v for v, _ in scalar]
+        assert stderrs.ravel().tolist() == [s for _, s in scalar]
+
+
+def test_detection_bound_grows_with_the_qubit_count():
+    bounds = [TOL.criterion(n) for n in range(1, 5)]
+    assert np.allclose(bounds, [1.0e-8, 1.8e-8, 3.4e-8, 6.6e-8], rtol=1e-3)
+    for n, bound in enumerate(bounds, start=1):
+        assert criterion_met(1.0 + 1.01 * bound, 0.0, 1.0, n)
+        assert not criterion_met(1.0 + 0.99 * bound, 0.0, 1.0, n)
+    # the error allowance is error_multiplier standard errors of the sum
+    assert not criterion_met(1.1, 0.01, 1.0, 2) and criterion_met(1.1, 0.01, 0.5, 2)
 
 
 def test_bloch_vector_cases():

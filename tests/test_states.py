@@ -174,6 +174,16 @@ def test_density_matrix_invariants_enforced():
         PureState(1, np.array([1.0, 1.0]))  # norm sqrt(2)
 
 
+def test_positivity_is_checked_on_the_hermitian_part():
+    # Only the upper triangle carries the (tolerated) asymmetry: the lower
+    # triangle alone describes diag(1, 0, ..., 0), while the Hermitian part,
+    # which every correlation reads, has an eigenvalue of -6 * 0.45e-9.
+    m = np.diag([1.0] + [0.0] * 7).astype(complex)
+    m[1:, 1:] += np.triu(np.full((7, 7), -0.9e-9), k=1)
+    with pytest.raises(DomainError, match="minimum eigenvalue -2.700e-09"):
+        DensityMatrix(3, m)
+
+
 def test_state_json_roundtrip(tmp_path):
     rho = make_werner(0.37)
     d = state_to_dict(rho)

@@ -1,11 +1,14 @@
-"""The exact purity sweep runs in batches; these tests hold it to the per-state functions."""
+"""The sweeps run in batches; these tests hold them to the per-state functions."""
 
 import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
 
 from entdetect import (
+    CorrelationRecord,
     DensityMatrix,
     DomainError,
     MeasurementSource,
@@ -17,13 +20,15 @@ from entdetect import (
     make_colored,
     make_werner,
     ppt_verdict,
+    brute_force_criterion,
     purity,
     random_frame,
     random_mixed,
     run_tree,
 )
+from entdetect import sweeps
 from entdetect.cli import main
-from entdetect.correlations import pauli_tensor, pauli_tensors
+from entdetect.correlations import full_positions, pauli_tensor, pauli_tensors, sample
 from entdetect.oracles import ppt_test
 from entdetect.states import check_density, purities
 from entdetect.sweeps import CompiledTree
@@ -60,7 +65,9 @@ STATE_SETS = {
 
 
 def _assert_walk_matches_run_tree(states, tree) -> list:
-    walk = CompiledTree(tree).walk(pauli_tensors(np.array([rho.matrix for rho in states])))
+    walk = CompiledTree(tree).walk(
+        pauli_tensors(np.array([rho.matrix for rho in states]))[:, full_positions(tree.n_qubits)]
+    )
     fulls = all_full_indices(tree.n_qubits)
     runs = [run_tree(MeasurementSource(rho), tree) for rho in states]
     for k, run in enumerate(runs):
@@ -111,3 +118,79 @@ def test_check_density_runs_each_check_over_the_stack():
         check_density(np.array([good, negative, more_negative]))
     with pytest.raises(DomainError, match="minimum eigenvalue"):
         DensityMatrix(2, negative)
+
+
+class ReplaySource:
+    """A two-qubit source that answers run_tree's queries with values drawn
+    beforehand, one value and standard error per full index."""
+
+    n_qubits = 2
+
+    def __init__(self, values, stderrs, shots):
+        self.shots = shots
+        self._draws = dict(zip(all_full_indices(2), zip(values.tolist(), stderrs.tolist())))
+
+    def measure_index(self, index):
+        return CorrelationRecord(index, *self._draws[tuple(index)], self.shots)
+
+
+@pytest.mark.parametrize("shots", [100, 500, 4500])
+def test_shot_walk_matches_run_tree_on_replayed_draws(shots):
+    states = [s for name in sorted(STATE_SETS) for s in STATE_SETS[name]()[::3]]
+    exact = pauli_tensors(np.array([rho.matrix for rho in states]))[:, full_positions(2)]
+    values, stderrs = sample(exact, shots, np.random.default_rng(shots))
+    fulls = all_full_indices(2)
+    seen = set()
+    for threshold in (0.3, 0.5, 0.8):
+        tree = default_tree_2q(threshold)
+        for multiplier in (0.0, 1.0, 2.0):
+            walk = CompiledTree(tree).walk(values, stderrs, multiplier)
+            for k in range(len(states)):
+                source = ReplaySource(values[k], stderrs[k], shots)
+                run = run_tree(source, tree, error_multiplier=multiplier)
+                walked = [fulls[j] for j in walk.sequence[k] if j >= 0]
+                assert walked == [r.index for r in run.records], (threshold, multiplier, k)
+                assert (walk.detected[k], walk.steps[k]) == (run.detected, run.steps)
+                seen.add((run.strategy, run.detected))
+    assert seen == {(strategy, d) for strategy in ("tree", "tree+priority") for d in (False, True)}
+
+
+def test_every_engine_detects_werner_just_past_the_separable_bound():
+    # Sum of squares 1 + 1e-7: above the two-qubit bound 1 + 1.8e-8.
+    rho = make_werner(math.sqrt((1 + 1e-7) / 3))
+    total, detected = brute_force_criterion(rho)
+    assert abs(total - (1 + 1e-7)) < 1e-12 and detected
+    assert run_tree(MeasurementSource(rho), default_tree_2q()).detected
+    walk = CompiledTree(default_tree_2q()).walk(pauli_tensors(rho.matrix)[None, full_positions(2)])
+    assert walk.detected.tolist() == [True]
+
+
+def _stdout(argv, capsys) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_shot_purity_sweep_is_seeded_and_samples_the_exact_sweeps_states(capsys):
+    argv = ["sweep-purity", "--samples", "1000", "--seed", "5", "--format", "json"]
+    shots = _stdout(argv + ["--mode", "shots"], capsys)
+    assert _stdout(argv + ["--mode", "shots"], capsys) == shots
+    assert _stdout(argv + ["--mode", "shots", "--seed", "6"], capsys) != shots
+    exact = json.loads(_stdout(argv, capsys))
+    key = [(r["parameter"], r["n_samples"]) for r in exact]
+    assert [(r["parameter"], r["n_samples"]) for r in json.loads(shots)] == key
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep-purity", "--samples", "1000", "--seed", "3", "--mode", "shots=500"),
+        ("sweep-purity", "--samples", "1000", "--seed", "1000", "--format", "json"),
+        ("sweep-werner", "--p-min", "0.5", "--p-max", "0.7", "--step", "0.01",
+         "--mode", "shots", "--repeats", "20", "--seed", "3"),
+        ("sweep-werner", "--format", "json"),
+    ],
+)
+def test_sweep_output_does_not_depend_on_the_chunk_size(argv, capsys, monkeypatch):
+    whole = _stdout(argv, capsys)
+    monkeypatch.setattr(sweeps, "CHUNK", 7)
+    assert _stdout(argv, capsys) == whole
