@@ -182,8 +182,11 @@ def propagated_error(records: Iterable[CorrelationRecord]) -> float:
 
 def error_variance(value, stderr):
     """Variance 4 v^2 sigma^2 + 2 sigma^4 of one squared value, for floats or
-    arrays (numpy's powers may differ from Python's in the last bit)."""
-    return 4.0 * (value * stderr) ** 2 + 2.0 * stderr**4
+    arrays. It squares by multiplying, which is correctly rounded for both
+    (Python's float ** 2 is not always), so the two forms agree bit for bit."""
+    vs = value * stderr
+    s2 = stderr * stderr
+    return 4.0 * (vs * vs) + 2.0 * (s2 * s2)
 
 
 _DETECTION_BOUNDS = tuple(1.0 + TOL.criterion(n) for n in range(MAX_QUBITS + 1))
@@ -224,7 +227,7 @@ def criterion_add(
     if record.index in state.measured:
         raise DuplicateIndex(f"index {format_index(record.index)} already measured")
     state.measured.add(record.index)
-    state.running_sum += record.value**2
+    state.running_sum += record.value * record.value
     state.variance += error_variance(record.value, record.stderr)
     return criterion_met(state.running_sum, state.variance, error_multiplier, len(record.index))
 
@@ -262,7 +265,7 @@ class DetectionResult:
     @property
     def sum_of_squares(self) -> float:
         # A left fold from 0.0, so that it equals CriterionState.running_sum.
-        return reduce(lambda total, r: total + r.value**2, self.full_records, 0.0)
+        return reduce(lambda total, r: total + r.value * r.value, self.full_records, 0.0)
 
     @property
     def propagated_error(self) -> float:

@@ -12,26 +12,31 @@ tree and the priority queue at once, with the tree expanded into arrays,
 and detects by criterion_met, the rule of run_tree's criterion_add.
 
 Seeding: the purity sweep draws sample i from the i-th generator spawned
-from SeedSequence(seed), so both modes draw the same states. The shot
-noise of either sweep comes from one generator seeded with
-SeedSequence([seed, 1]), drawn row by row in sample order, so it does not
-depend on CHUNK.
+from SeedSequence(seed), so both modes draw the same states. The seed
+words of a chunk's children are computed in one pass (_spawned_words)
+rather than through one SeedSequence and one default_rng per sample; the
+streams are the same. The shot noise of either sweep comes from one
+generator seeded with SeedSequence([seed, 1]), drawn row by row in sample
+order, so it does not depend on CHUNK.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .correlations import all_full_indices, criterion_met, error_variance
 from .correlations import full_positions, pauli_tensors, sample
 from .errors import DomainError
 from .oracles import ppt_test
-from .states import check_density, ginibre_product, make_werner, purities, unit_trace
+from .states import check_density, make_werner, purities, unit_trace
 from .tree import DecisionTree, anticommutation_table, default_tree_2q
 
 MIN_SHOTS = 100
@@ -39,6 +44,10 @@ MIN_SHOTS = 100
 # numpy calls, small enough that memory does not grow with the sample count.
 CHUNK = 256
 _FULL_2Q = full_positions(2)  # where the two-qubit full values sit in a Pauli tensor
+# Constants of numpy's SeedSequence, whose output NEP 19 keeps stable.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass
@@ -186,6 +195,13 @@ class CompiledTree:
         return Walk(detected, steps, sequence)
 
 
+@cache
+def _default_plan_2q() -> CompiledTree:
+    """default_tree_2q compiled once per process. Its nodes do not depend
+    on the threshold, so a sweep copies the plan and sets only that."""
+    return CompiledTree(default_tree_2q())
+
+
 def _sweep(chunks, parameters, cfg: ExperimentConfig) -> SweepResult:
     """Walk every run of the chunks through the default tree and tally the
     runs by group, one row per group that ran at least once.
@@ -195,7 +211,8 @@ def _sweep(chunks, parameters, cfg: ExperimentConfig) -> SweepResult:
     toward. In shot mode the values are first drawn from the sweep's noise
     generator.
     """
-    plan = CompiledTree(default_tree_2q(cfg.threshold))
+    plan = copy.copy(_default_plan_2q())
+    plan.threshold = cfg.threshold
     noise = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     runs, hits = np.zeros((2, len(parameters)), dtype=int)
     steps = np.zeros(len(parameters))
@@ -233,6 +250,55 @@ def sweep_werner(
     return _sweep(chunks(), p_values, cfg)
 
 
+def _spawned_words(seed: int, start: int, count: int) -> np.ndarray:
+    """generate_state(4, np.uint64) of the children start .. start+count-1 of
+    SeedSequence(seed).spawn, as a (count, 4) uint64 array.
+
+    numpy's hashmix/mix pool of size 4 over the entropy words: the seed's
+    32-bit words, padded with zeros to the pool size (as for any non-empty
+    spawn key), then the child index, which must be below 2^32. Python ints
+    carry the words that do not depend on the child; uint64 arrays masked
+    to 32 bits carry the rest.
+    """
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = words + [0] * (4 - len(words)) + [np.arange(start, start + count, dtype=np.uint64)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * _MULT_A & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state = np.empty((count, 8), dtype=np.uint64)
+    const = _INIT_B
+    for k in range(8):
+        value = (pool[k % 4] ^ const) * (const := const * _MULT_B & _MASK32) & _MASK32
+        state[:, k] = value ^ value >> 16
+    return state[:, 0::2] | state[:, 1::2] << 32  # little-endian pairs
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence that hands a bit generator precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def sweep_purity(
     n_samples: int, cfg: ExperimentConfig, bins: int = 10
 ) -> SweepResult:
@@ -245,19 +311,29 @@ def sweep_purity(
     """
     if n_samples < 1000:
         raise DomainError(f"purity sweep needs at least 1000 samples, got {n_samples}")
+    if n_samples >= 2**32:
+        raise DomainError(f"purity sweep takes fewer than 2^32 samples, got {n_samples}")
     if bins < 1:
         raise DomainError(f"purity sweep needs at least one bin, got {bins}")
     edges = np.linspace(0.25, 1.0, bins + 1)
 
     def chunks():
-        root = np.random.SeedSequence(cfg.seed)
         stack = np.empty((CHUNK, 4, 4), dtype=complex)
+        gauss = np.empty((CHUNK, 2, 4, 4))  # real and imaginary parts, rank columns used
+        ranks = np.empty(CHUNK, dtype=int)
         for start in range(0, n_samples, CHUNK):
-            batch = root.spawn(min(CHUNK, n_samples - start))  # continues the child count
-            chunk = stack[: len(batch)]
-            for i, seq in enumerate(batch):
-                rng = np.random.default_rng(seq)
-                chunk[i] = ginibre_product(4, int(rng.integers(1, 5)), rng)
+            count = min(CHUNK, n_samples - start)
+            for i, words in enumerate(_spawned_words(cfg.seed, start, count)):
+                rng = np.random.Generator(np.random.PCG64(_StateWords(words)))
+                rank = ranks[i] = rng.integers(1, 5)
+                gauss[i, :, :, :rank] = rng.standard_normal((2, 4, rank))
+            # ginibre_product's g g^dagger, one matmul per rank: padding the
+            # factors to rank 4 would change the shapes BLAS sees.
+            chunk = stack[:count]
+            for rank in range(1, 5):
+                pick = np.flatnonzero(ranks[:count] == rank)
+                g = gauss[pick, 0, :, :rank] + 1j * gauss[pick, 1, :, :rank]
+                chunk[pick] = g @ g.conj().swapaxes(-1, -2)
             chunk = unit_trace(chunk)
             check_density(chunk)
             rhos = chunk[ppt_test(chunk)[0]]

@@ -218,7 +218,7 @@ def priority_order(
     exactly the row and column partners). Lower priority values are measured
     first; ties break lexicographically (x < y < z).
     """
-    measured = [(_masks(r.index), r.value**2) for r in measured]
+    measured = [(_masks(r.index), r.value * r.value) for r in measured]
 
     def spent(idx: Index) -> float:
         # Left to right in record order, as the batched sweep walker adds

@@ -253,7 +253,8 @@ def test_bad_inputs_exit_code(capsys):
     assert main(["detect", "missing-file.json"]) == 2
     assert main(["sweep-werner", "--p-min", "0.9", "--p-max", "0.5"]) == 2
     # Each of these is rejected before any work starts: the tiny step would
-    # build a grid of about 1e299 points, and a 5-qubit plan grows as 3^n.
+    # build a grid of about 1e299 points, a 5-qubit plan grows as 3^n, and
+    # the purity sweep seeds at most 2^32 samples.
     for argv in (
         ["detect", "bell", "--seed", "-1"],
         ["detect", "bell", "--frame-seed", "-1"],
@@ -264,6 +265,7 @@ def test_bad_inputs_exit_code(capsys):
         ["tree-gen", "2", "zz", "--max-depth", "0"],
         ["tree-gen", "2", "zz", "--max-depth", "-3"],
         ["tree-gen", "5", "zzzzz"],
+        ["sweep-purity", "--samples", "4294967296"],
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv

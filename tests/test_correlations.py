@@ -7,6 +7,7 @@ from entdetect import (
     CorrelationRecord,
     CriterionState,
     DensityMatrix,
+    DetectionResult,
     DimensionMismatch,
     DuplicateIndex,
     MeasurementSource,
@@ -32,7 +33,7 @@ from entdetect import (
     schmidt_oracle,
 )
 from entdetect.config import TOL
-from entdetect.correlations import criterion_met, full_positions, pauli_tensor, sample
+from entdetect.correlations import criterion_met, error_variance, full_positions, pauli_tensor, sample
 from entdetect.tree import anticommute
 
 
@@ -98,6 +99,25 @@ def test_sample_of_a_stack_matches_scalar_draws_bit_for_bit():
         scalar = [sample(float(t), shots, rng) for t in exact.ravel()]
         assert values.ravel().tolist() == [v for v, _ in scalar]
         assert stderrs.ravel().tolist() == [s for _, s in scalar]
+
+
+def test_scalar_and_array_squares_agree_bit_for_bit():
+    # criterion_add and DetectionResult square floats, CompiledTree.walk
+    # squares arrays; both multiply, so they agree in every bit.
+    rng = np.random.default_rng(12)
+    values, stderrs = rng.uniform(-1.0, 1.0, 20000), rng.uniform(0.0, 0.1, 20000)
+    squares, variances = (values * values).tolist(), error_variance(values, stderrs).tolist()
+    records = [
+        CorrelationRecord(("z", "z"), v, s, 4500) for v, s in zip(values.tolist(), stderrs.tolist())
+    ]
+    assert [error_variance(r.value, r.stderr) for r in records] == variances
+    folds = []
+    for r in records:
+        state = CriterionState()
+        criterion_add(state, r)
+        folds.append(state.running_sum)
+    assert folds == squares
+    assert DetectionResult(tuple(records), False, "tree").sum_of_squares == np.cumsum(squares)[-1]
 
 
 def test_detection_bound_grows_with_the_qubit_count():

@@ -30,7 +30,7 @@ from entdetect import sweeps
 from entdetect.cli import main
 from entdetect.correlations import full_positions, pauli_tensor, pauli_tensors, sample
 from entdetect.oracles import ppt_test
-from entdetect.states import check_density, purities
+from entdetect.states import check_density, ginibre_product, purities, unit_trace
 from entdetect.sweeps import CompiledTree
 
 # SHA-256 of the CLI's standard output, as produced by the per-state
@@ -194,3 +194,40 @@ def test_sweep_output_does_not_depend_on_the_chunk_size(argv, capsys, monkeypatc
     whole = _stdout(argv, capsys)
     monkeypatch.setattr(sweeps, "CHUNK", 7)
     assert _stdout(argv, capsys) == whole
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200 + 12345])
+def test_spawned_words_equal_numpys_seed_sequence(seed):
+    root = np.random.SeedSequence(seed)
+    children = root.spawn(300) + root.spawn(50)  # spawn continues the child count
+    expect = np.array([child.generate_state(4, np.uint64) for child in children])
+    got = np.concatenate([sweeps._spawned_words(seed, 0, 300), sweeps._spawned_words(seed, 300, 50)])
+    assert got.dtype == np.uint64 and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 20260808])
+def test_purity_sweep_draws_the_per_sample_states_bit_for_bit(seed, monkeypatch):
+    # The pinned digests see only rounded fractions; this compares every bit
+    # of the density stacks with one default_rng per spawned child.
+    seen = []
+
+    def check(chunk):
+        seen.append(chunk.copy())
+        check_density(chunk)
+
+    monkeypatch.setattr(sweeps, "check_density", check)
+    sweeps.sweep_purity(1000, sweeps.ExperimentConfig(seed=seed))
+    oracle = []
+    for child in np.random.SeedSequence(seed).spawn(1000):
+        rng = np.random.default_rng(child)
+        oracle.append(unit_trace(ginibre_product(4, int(rng.integers(1, 5)), rng)))
+    assert np.concatenate(seen).tobytes() == np.array(oracle).tobytes()
+
+
+def test_sweeps_share_one_plan_and_set_only_the_threshold():
+    sweeps.sweep_werner(np.linspace(0.0, 1.0, 11), sweeps.ExperimentConfig(threshold=0.8))
+    cached = sweeps._default_plan_2q()
+    assert cached.threshold == 0.5
+    fresh = CompiledTree(default_tree_2q(0.8))
+    for name in ("full_id", "big", "small", "anti", "lex_rank"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
