@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -284,6 +285,7 @@ def _add_common(parser, *, frame=True):
                             help="apply a random local frame drawn from this seed")
 
 
+@cache  # argparse keeps no state of a parse on the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entdetect",

@@ -20,8 +20,11 @@ class Tolerances:
                     is detected when it lies within these slacks of a
                     separable state. Say m passes validation on d = 2^n
                     dimensions. The correlations read only its Hermitian
-                    part H, and validation takes the eigenvalues of H, so
-                    none lies below -s with s = psd. Write H = P - N with
+                    part H, and validation accepts H when H + s I has a
+                    Cholesky factor or, failing that, when no eigenvalue
+                    of H lies below -s, with s = psd. Either test reaches
+                    the same -s bound up to rounding of about 1e-16, far
+                    inside the spare s below. Write H = P - N with
                     P / tr P separable and N >= 0 holding the (at most
                     d - 1) negative eigenvalues. The full correlations T
                     are linear in the matrix, and their Euclidean length is

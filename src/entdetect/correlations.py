@@ -123,6 +123,10 @@ def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
+# The most shots a measurement takes: Generator.binomial reads the count as a C long.
+MAX_SHOTS = 2**63 - 1
+
+
 def sample(t, shots: int, rng: np.random.Generator):
     """Binomial finite-statistics model of a correlation with exact value t,
     or of each exact value of an array t, drawn in C order.

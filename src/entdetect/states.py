@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -46,7 +47,7 @@ class PureState:
         if amps.size != 2**n:
             raise DimensionMismatch(f"expected {2**n} amplitudes, got {amps.size}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > TOL.equality:
+        if not abs(norm - 1.0) <= TOL.equality:  # a NaN norm fails too
             raise DomainError(f"state norm {norm} differs from 1 beyond tolerance")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
@@ -57,15 +58,20 @@ class PureState:
 
 def check_density(matrices: np.ndarray) -> None:
     """The density-matrix invariants, for one matrix or each matrix of a
-    (..., d, d) stack: Hermitian and unit trace within TOL.equality, no
-    eigenvalue below -TOL.psd.
+    (..., d, d) stack: finite entries, Hermitian and unit trace within
+    TOL.equality, no eigenvalue below -TOL.psd.
 
     The checks run in that order over the whole stack; the first one that
-    some matrix breaks raises NotHermitian or DomainError, naming the first
-    such matrix. The eigenvalues are those of the Hermitian part
-    (m + m^dagger) / 2, the part every correlation reads.
+    some matrix breaks raises NotHermitian or DomainError, the last three
+    quoting the value of the first such matrix. The eigenvalues are those of the Hermitian part
+    H = (m + m^dagger) / 2, the part every correlation reads. H passes when
+    H + TOL.psd I has a Cholesky factor, or, failing that, when no
+    eigenvalue of H lies below -TOL.psd.
     """
     # One scalar test per check; the offending matrix is located only on failure.
+    # A comparison with NaN is false, so non-finite entries are refused first.
+    if not np.isfinite(matrices).all():
+        raise DomainError("density matrix has a non-finite entry")
     adjoint = np.conjugate(matrices).swapaxes(-2, -1)
     asym = np.abs(matrices - adjoint)
     if asym.max() > TOL.equality:
@@ -75,11 +81,21 @@ def check_density(matrices: np.ndarray) -> None:
     off = abs(tr - 1.0)
     if off.max() > TOL.equality:
         raise DomainError(f"trace {complex(_first(tr, off > TOL.equality))} differs from 1 beyond tolerance")
-    min_eig = np.linalg.eigvalsh((matrices + adjoint) / 2)[..., 0]
-    if min_eig.min() < -TOL.psd:
-        raise DomainError(
-            f"minimum eigenvalue {_first(min_eig, min_eig < -TOL.psd):.3e} below -{TOL.psd:.1e}"
-        )
+    hermitian = (matrices + adjoint) / 2  # exactly Hermitian: Cholesky reads one triangle
+    try:
+        np.linalg.cholesky(hermitian + _psd_shift(matrices.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(hermitian)[..., 0]
+        if min_eig.min() < -TOL.psd:
+            raise DomainError(
+                f"minimum eigenvalue {_first(min_eig, min_eig < -TOL.psd):.3e} below -{TOL.psd:.1e}"
+            ) from None
+
+
+@cache
+def _psd_shift(d: int) -> np.ndarray:
+    """TOL.psd times the d x d identity, built once per dimension."""
+    return TOL.psd * np.eye(d)
 
 
 def _first(values: np.ndarray, bad: np.ndarray):

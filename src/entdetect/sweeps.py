@@ -1,23 +1,26 @@
 """Parameter sweeps: detection across the Werner family, and across the
 Ginibre ensemble binned by purity.
 
-Both sweeps run on stacks of at most CHUNK states. A sweep takes the
-exact full correlations of a stack from its Pauli tensors; in shot mode it
-then draws every value of every row at once through the one binomial
-model, correlations.sample. A run measures each index at most once, and
-each draw is an independent binomial given the state, so drawing all 3^n
-values up front gives every run the distribution of run_tree's lazy draws.
-CompiledTree.walk then takes every row of the stack through the decision
-tree and the priority queue at once, with the tree expanded into arrays,
-and detects by criterion_met, the rule of run_tree's criterion_add.
+Both sweeps draw and check their states on stacks of at most CHUNK
+states, and take the exact full correlations of a stack from its Pauli
+tensors. The rows of the stacks are then joined into batches of about
+WALK_ROWS rows; in shot mode a batch first draws every value of every row
+at once through the one binomial model, correlations.sample. A run
+measures each index at most once, and each draw is an independent
+binomial given the state, so drawing all 3^n values up front gives every
+run the distribution of run_tree's lazy draws. CompiledTree.walk then
+takes every row of the batch through the decision tree and the priority
+queue at once, with the tree expanded into arrays, and detects by
+criterion_met, the rule of run_tree's criterion_add.
 
 Seeding: the purity sweep draws sample i from the i-th generator spawned
 from SeedSequence(seed), so both modes draw the same states. The seed
 words of a chunk's children are computed in one pass (_spawned_words)
-rather than through one SeedSequence and one default_rng per sample; the
-streams are the same. The shot noise of either sweep comes from one
-generator seeded with SeedSequence([seed, 1]), drawn row by row in sample
-order, so it does not depend on CHUNK.
+rather than through one SeedSequence and one default_rng per sample, and
+the rank is read from the first raw word; the streams and draws are the
+same. The shot noise of either sweep comes from one generator seeded with
+SeedSequence([seed, 1]), drawn row by row in sample order, so it depends
+on neither CHUNK nor WALK_ROWS.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .correlations import all_full_indices, criterion_met, error_variance
+from .correlations import MAX_SHOTS, all_full_indices, criterion_met, error_variance
 from .correlations import full_positions, pauli_tensors, sample
 from .errors import DomainError
 from .oracles import ppt_test
@@ -40,9 +43,11 @@ from .states import check_density, make_werner, purities, unit_trace
 from .tree import DecisionTree, anticommutation_table, default_tree_2q
 
 MIN_SHOTS = 100
-# Rows drawn and walked together: large enough to amortize the per-batch
-# numpy calls, small enough that memory does not grow with the sample count.
+# Rows drawn and validated together, and rows walked together: large enough
+# to amortize the per-batch numpy calls, small enough that memory does not
+# grow with the sample count. A walk holds 9 values per row.
 CHUNK = 256
+WALK_ROWS = 4096
 _FULL_2Q = full_positions(2)  # where the two-qubit full values sit in a Pauli tensor
 # Constants of numpy's SeedSequence, whose output NEP 19 keeps stable.
 _MASK32 = 0xFFFFFFFF
@@ -60,8 +65,8 @@ class ExperimentConfig:
     error_multiplier: float = 1.0
 
     def __post_init__(self):
-        if self.shots is not None and self.shots < MIN_SHOTS:
-            raise DomainError(f"shot mode needs at least {MIN_SHOTS} shots, got {self.shots}")
+        if self.shots is not None and not MIN_SHOTS <= self.shots <= MAX_SHOTS:
+            raise DomainError(f"shot mode takes {MIN_SHOTS} to 2^63 - 1 shots, got {self.shots}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.threshold < 1.0:
@@ -202,21 +207,36 @@ def _default_plan_2q() -> CompiledTree:
     return CompiledTree(default_tree_2q())
 
 
+def _batches(chunks):
+    """The chunks' (group, exact) pairs joined in order into batches of at
+    least WALK_ROWS rows, the last batch holding the rest."""
+    groups, values, rows = [], [], 0
+    for group, exact in chunks:
+        groups.append(group)
+        values.append(exact)
+        rows += len(group)
+        if rows >= WALK_ROWS:
+            yield np.concatenate(groups), np.concatenate(values)
+            groups, values, rows = [], [], 0
+    if groups:
+        yield np.concatenate(groups), np.concatenate(values)
+
+
 def _sweep(chunks, parameters, cfg: ExperimentConfig) -> SweepResult:
     """Walk every run of the chunks through the default tree and tally the
     runs by group, one row per group that ran at least once.
 
     chunks yields (group, exact) pairs: a row of exact holds one run's values
     for all_full_indices(2), and group the index of the parameter it counts
-    toward. In shot mode the values are first drawn from the sweep's noise
-    generator.
+    toward. The rows are walked in batches of about WALK_ROWS (_batches); in
+    shot mode the values are first drawn from the sweep's noise generator.
     """
     plan = copy.copy(_default_plan_2q())
     plan.threshold = cfg.threshold
     noise = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     runs, hits = np.zeros((2, len(parameters)), dtype=int)
     steps = np.zeros(len(parameters))
-    for group, exact in chunks:
+    for group, exact in _batches(chunks):
         if cfg.shots is None:
             walk = plan.walk(exact)
         else:
@@ -319,20 +339,26 @@ def sweep_purity(
 
     def chunks():
         stack = np.empty((CHUNK, 4, 4), dtype=complex)
-        gauss = np.empty((CHUNK, 2, 4, 4))  # real and imaginary parts, rank columns used
+        gauss = np.empty((CHUNK, 32))  # a (2, 4, rank) block per row: real, imaginary parts
         ranks = np.empty(CHUNK, dtype=int)
         for start in range(0, n_samples, CHUNK):
             count = min(CHUNK, n_samples - start)
             for i, words in enumerate(_spawned_words(cfg.seed, start, count)):
-                rng = np.random.Generator(np.random.PCG64(_StateWords(words)))
-                rank = ranks[i] = rng.integers(1, 5)
-                gauss[i, :, :, :rank] = rng.standard_normal((2, 4, rank))
+                bits = np.random.PCG64(_StateWords(words))
+                # Generator.integers(1, 5) exactly: numpy's buffered Lemire
+                # method takes the low 32 bits of the first output, and for a
+                # range of 4 its rejection threshold (2^32 - 4) % 4 is 0, so it
+                # never draws again. standard_normal never reads the buffered
+                # high half.
+                rank = ranks[i] = 1 + ((bits.random_raw() & _MASK32) >> 30)
+                np.random.Generator(bits).standard_normal(out=gauss[i, : 8 * rank])
             # ginibre_product's g g^dagger, one matmul per rank: padding the
             # factors to rank 4 would change the shapes BLAS sees.
             chunk = stack[:count]
             for rank in range(1, 5):
                 pick = np.flatnonzero(ranks[:count] == rank)
-                g = gauss[pick, 0, :, :rank] + 1j * gauss[pick, 1, :, :rank]
+                g = gauss[pick, : 8 * rank].reshape(-1, 2, 4, rank)
+                g = g[:, 0] + 1j * g[:, 1]
                 chunk[pick] = g @ g.conj().swapaxes(-1, -2)
             chunk = unit_trace(chunk)
             check_density(chunk)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 import entdetect as ed
@@ -20,3 +22,19 @@ def protocol_target_theta(result: ed.DetectionResult, psi: ed.PureState, rho: ed
         filtered, _ = ed.apply_filter(rho, ed.FilterOp(info["party"], info["eps"]))
         return ed.schmidt_oracle(purify(filtered))[0]
     return ed.schmidt_oracle(psi)[0]
+
+
+NON_FINITE = ("nan-diagonal", "nan-off-diagonal", "inf-entry")
+
+
+def non_finite_matrix(kind: str) -> np.ndarray:
+    """The maximally mixed two-qubit state with one diagonal entry, or one
+    Hermitian pair of entries, set to NaN or inf (kind is in NON_FINITE)."""
+    m = np.eye(4, dtype=complex) / 4
+    if kind == "nan-diagonal":
+        m[1, 1] = math.nan
+    elif kind == "nan-off-diagonal":
+        m[0, 2] = m[2, 0] = math.nan
+    else:
+        m[1, 3] = m[3, 1] = math.inf
+    return m

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import NON_FINITE, non_finite_matrix
 import entdetect as ed
 from entdetect import bell_phi_plus, load_tree, mat_equal
 from entdetect.cli import main, parse_mode, parse_state_spec
@@ -266,6 +267,11 @@ def test_bad_inputs_exit_code(capsys):
         ["tree-gen", "2", "zz", "--max-depth", "-3"],
         ["tree-gen", "5", "zzzzz"],
         ["sweep-purity", "--samples", "4294967296"],
+        # Generator.binomial takes the shot count as a C long.
+        ["detect", "bell", "--mode", "shots=100000000000000000000"],
+        ["schmidt", "bell", "--mode", "shots=100000000000000000000"],
+        ["sweep-werner", "--mode", "shots=100000000000000000000"],
+        ["sweep-purity", "--mode", "shots=100000000000000000000"],
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
@@ -317,6 +323,16 @@ def test_detect_state_file_not_utf8(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe not utf-8")
     assert main(["detect", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", NON_FINITE)
+def test_detect_rejects_a_non_finite_state_file(tmp_path, capsys, kind):
+    path = tmp_path / "non-finite.json"
+    pairs = [[[z.real, z.imag] for z in row] for row in non_finite_matrix(kind)]
+    path.write_text(json.dumps({"n_qubits": 2, "matrix": pairs}))
+    for command in ("detect", "schmidt"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_error_multiplier_validation(capsys):

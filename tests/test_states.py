@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import NON_FINITE, non_finite_matrix
 from entdetect import (
     DensityMatrix,
     DimensionMismatch,
@@ -29,7 +30,8 @@ from entdetect import (
     state_from_dict,
     state_to_dict,
 )
-from entdetect.states import load_state, save_state
+from entdetect.config import TOL
+from entdetect.states import check_density, haar_unitary, load_state, save_state
 
 
 def test_werner_extremes():
@@ -182,6 +184,66 @@ def test_positivity_is_checked_on_the_hermitian_part():
     m[1:, 1:] += np.triu(np.full((7, 7), -0.9e-9), k=1)
     with pytest.raises(DomainError, match="minimum eigenvalue -2.700e-09"):
         DensityMatrix(3, m)
+
+
+@pytest.mark.parametrize("kind", NON_FINITE)
+def test_non_finite_matrices_are_rejected(kind):
+    m = non_finite_matrix(kind)
+    with pytest.raises(DomainError, match="non-finite"):
+        DensityMatrix(2, m)
+    with pytest.raises(DomainError, match="non-finite"):
+        check_density(np.array([np.eye(4) / 4, m, np.eye(4) / 4]))
+
+
+def test_non_finite_amplitudes_are_rejected():
+    with pytest.raises(DomainError):
+        PureState(1, np.array([math.nan, 0.0]))
+
+
+def _eigvalsh_rule(m) -> bool:
+    """The positivity rule check_density applied before it took a Cholesky
+    factor: accept when no eigenvalue of the Hermitian part lies below -psd."""
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2)[..., 0].min() >= -TOL.psd
+
+
+def _passes(m) -> bool:
+    try:
+        check_density(m)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "lowest", [-TOL.psd * (1 + 1e-3), -TOL.psd * (1 - 1e-3), 0.0, -0.9e-9], ids=str
+)
+def test_cholesky_rule_agrees_with_the_eigenvalue_rule(n, lowest):
+    d = 2**n
+    rng = np.random.default_rng([n, int(-lowest * 1e12)])
+    stack = []
+    for _ in range(12):
+        spectrum = rng.random(d - 1)
+        spectrum = np.concatenate([[lowest], spectrum * (1 - lowest) / spectrum.sum()])
+        u = haar_unitary(d, rng)
+        m = (u * spectrum) @ u.conj().T
+        assert _passes(m) == _eigvalsh_rule(m)
+        stack.append(m)
+    stack = np.array(stack)
+    assert _passes(stack) == _eigvalsh_rule(stack) == (lowest >= -TOL.psd)
+    # One planted matrix among valid ones: the stack fails exactly when it does.
+    mixed = np.array([np.eye(d) / d, stack[5], np.eye(d) / d])
+    assert _passes(mixed) == _eigvalsh_rule(stack[5])
+
+
+def test_a_failed_cholesky_factor_falls_back_to_the_eigenvalues(monkeypatch):
+    def fail(matrices):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    check_density(np.array([np.eye(4) / 4, make_werner(0.3).matrix]))
+    with pytest.raises(DomainError, match="minimum eigenvalue -5.000e-01"):
+        DensityMatrix(1, np.diag([1.5, -0.5]))
 
 
 def test_state_json_roundtrip(tmp_path):
