@@ -44,10 +44,8 @@ from .linalg import (
     AXES,
     PAULI_LABELS,
     PAULIS,
-    hermitian_eigenvalues,
     mat_equal,
     pauli_operator,
-    svd,
     tensor_product_all,
 )
 from .oracles import EntanglementVerdict, brute_force_criterion, ppt_verdict

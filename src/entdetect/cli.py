@@ -29,10 +29,8 @@ from .errors import (
     DegenerateDirection,
     DomainError,
     EntDetectError,
-    NonFullCorrelation,
     NotHermitian,
     ParseError,
-    UnsupportedDimension,
     ZeroSuccess,
 )
 from .schmidt import ProtocolConfig, run_protocol
@@ -106,14 +104,20 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     except (ValueError, DomainError) as exc:
         raise ParseError(f"bad state spec {spec!r}: {exc}") from exc
     if spec.endswith(".json"):
-        try:
-            state = load_state(spec)
-        except FileNotFoundError as exc:
-            raise ParseError(f"state file not found: {spec}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
-            raise ParseError(f"malformed state file {spec}: {exc}") from exc
+        state = _load_file(load_state, spec, "state")
         return state.density() if isinstance(state, PureState) else state
     raise ParseError(f"unknown state spec {spec!r}")
+
+
+def _load_file(loader, path: str, kind: str):
+    """Read a state or tree file: a malformed one is a ParseError, while a
+    package error (a non-Hermitian matrix, say) or an OSError passes through."""
+    try:
+        return loader(path)
+    except EntDetectError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise ParseError(f"malformed {kind} file {path}: {exc}") from exc
 
 
 def _prepare_state(args) -> DensityMatrix:
@@ -196,10 +200,7 @@ def cmd_detect(args) -> int:
     state = _prepare_state(args)
     tree = None
     if args.tree:
-        try:
-            tree = load_tree(args.tree)
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
-            raise ParseError(f"malformed tree file {args.tree}: {exc}") from exc
+        tree = _load_file(load_tree, args.tree, "tree")
     elif args.root:
         tree = generate_tree(state.n_qubits, parse_index(args.root), threshold=cfg.threshold)
     result = detect_once(state, cfg, tree)
@@ -346,13 +347,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, DomainError, NonFullCorrelation, UnsupportedDimension, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NotHermitian, ZeroSuccess, DegenerateDirection, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except EntDetectError as exc:
+    except (EntDetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

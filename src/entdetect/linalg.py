@@ -1,10 +1,11 @@
 """Dense complex linear algebra for few-qubit problems.
 
 Everything here targets matrices of dimension at most 16 (four qubits), so
-dense storage is used throughout. Eigenvalue and singular-value work is
-delegated to LAPACK through numpy; what this module owns are the contracts
-the rest of the package relies on: Hermiticity guards, ordering conventions,
-and reconstruction accuracy (held to a 1e-8 residual budget by the tests).
+dense storage is used throughout. This module owns the Pauli labels and
+operators, the tensor-product ordering (the first factor owns the block
+index) and tolerant matrix equality. Eigenvalue and singular-value work has
+no wrapper: its callers (states.check_density, oracles.ppt_test,
+schmidt.schmidt_oracle) call LAPACK through numpy directly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, DomainError, NotHermitian
+from .errors import DomainError
 
 PAULI_LABELS = ("0", "x", "y", "z")
 AXES = ("x", "y", "z")
@@ -27,16 +28,9 @@ PAULIS = {
 }
 
 
-def as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
-    return a
-
-
 def dagger(m) -> np.ndarray:
     """Conjugate transpose."""
-    return np.conjugate(as_matrix(m)).T
+    return np.conjugate(m).T
 
 
 def mat_equal(a, b, atol: float = TOL.equality) -> bool:
@@ -61,30 +55,3 @@ def pauli_operator(index) -> np.ndarray:
         if label not in PAULIS:
             raise DomainError(f"unknown Pauli label {label!r}")
     return tensor_product_all(PAULIS[label] for label in index)
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending; for a (..., d, d)
-    stack, the spectrum of each matrix along the last axis.
-
-    Raises NotHermitian when the asymmetry max|m - m^dagger| exceeds
-    TOL.equality.
-    """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2:
-        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got shape {a.shape}")
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionMismatch(f"matrix is not square: {a.shape}")
-    asym = np.abs(a - np.conjugate(a).swapaxes(-2, -1)).max()
-    if asym > TOL.equality:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {TOL.equality:.1e}")
-    return np.linalg.eigvalsh(a)
-
-
-def svd(m):
-    """Singular value decomposition m = u @ diag(s) @ vh.
-
-    Returns (u, s, vh) with s non-negative and descending; u has orthonormal
-    columns and vh orthonormal rows.
-    """
-    return np.linalg.svd(as_matrix(m), full_matrices=False)

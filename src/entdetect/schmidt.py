@@ -10,14 +10,14 @@ Bloch directions determine the local measurement bases
     |a>       = cos(xi) |0> + e^{i phi} sin(xi) |1>
     |a_perp>  = sin(xi) |0> - e^{i phi} cos(xi) |1>
 
-(the perpendicular vector carries a configurable extra phase so that
-convention independence can be asserted). Verification then measures the
-correlations along the rotated frames: T_z'z'' and T_y'y'' always; by
-default also T_x'y'', which makes the accumulated sum exactly
-1 + sin^2(2 theta) for pure states regardless of the unknown relative
-phase, at the price of one extra measurement. The phase-gated mode instead
-estimates cos(phase) from T_y'y'' and only measures the extra pair when it
-is small.
+(the perpendicular vector carries the extra phase PERP_PHASE, a pure
+convention choice that the tests vary to assert convention independence).
+Verification then measures the correlations along the rotated frames:
+T_z'z'' and T_y'y'' always; by default also T_x'y'', which makes the
+accumulated sum exactly 1 + sin^2(2 theta) for pure states regardless of
+the unknown relative phase, at the price of one extra measurement. The
+phase-gated mode instead estimates cos(phase) from T_y'y'' and only
+measures the extra pair when it is small.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .correlations import (
     criterion_add,
 )
 from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatch
-from .linalg import PAULIS, svd
+from .linalg import PAULIS
 from .sources import measure_bloch
 from .states import FilterOp, PureState
 
@@ -46,6 +46,7 @@ VANISHING_THRESHOLD = 0.1
 SHOT_VANISHING_FLOOR = 0.2
 PHASE_THRESHOLD = 0.3
 MIN_BLOCH_NORM = 1e-9
+PERP_PHASE = 0.0
 
 
 def schmidt_oracle(psi: PureState):
@@ -58,7 +59,7 @@ def schmidt_oracle(psi: PureState):
     if psi.n_qubits != 2:
         raise DimensionMismatch("Schmidt decomposition defined for 2 qubits here")
     m = psi.amplitudes.reshape(2, 2)
-    u, s, vh = svd(m)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
     theta = math.acos(min(1.0, max(0.0, float(s[0]))))
     return theta, (u[:, 0], u[:, 1]), (vh[0, :], vh[1, :])
 
@@ -137,7 +138,6 @@ class ProtocolConfig:
 
     filter_eps: float = 0.5
     always_extra: bool = True
-    perp_phase: float = 0.0
     error_multiplier: float = 1.0
 
 
@@ -178,8 +178,8 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
 
     xi_a, phi_a = bloch_to_basis(bloch_a)
     xi_b, phi_b = bloch_to_basis(bloch_b)
-    dirs_a = pair_directions(*basis_from_angles(xi_a, phi_a, config.perp_phase))
-    dirs_b = pair_directions(*basis_from_angles(xi_b, phi_b, config.perp_phase))
+    dirs_a = pair_directions(*basis_from_angles(xi_a, phi_a, PERP_PHASE))
+    dirs_b = pair_directions(*basis_from_angles(xi_b, phi_b, PERP_PHASE))
     details["frame"] = {
         "xi_a": xi_a, "phi_a": phi_a, "xi_b": xi_b, "phi_b": phi_b,
         "theta_estimate": 0.5 * math.acos(min(1.0, float(np.linalg.norm(bloch_a)))),

@@ -18,7 +18,7 @@ import numpy as np
 from .correlations import MAX_SHOTS, CorrelationRecord, Index, lookup, pauli_tensor, sample
 from .errors import DimensionMismatch, DomainError
 from .linalg import AXES
-from .states import DensityMatrix, FilterOp, apply_filter, as_generator
+from .states import DensityMatrix, FilterOp, apply_filter
 
 
 def _unit(direction) -> np.ndarray:
@@ -40,7 +40,7 @@ class MeasurementSource:
         self._state = state
         self._tensor = pauli_tensor(state)
         self.shots = shots
-        self._rng = as_generator(rng) if shots is not None else None
+        self._rng = np.random.default_rng(rng) if shots is not None else None
 
     @property
     def n_qubits(self) -> int:

@@ -196,22 +196,18 @@ def make_dicke(n, k) -> PureState:
 
 
 def project_first_qubit(state: PureState, direction) -> PureState:
-    """Project the first qubit onto a single-qubit pure state and renormalize.
+    """Project the first qubit onto the single-qubit state with the two
+    amplitudes direction (normalized here) and renormalize.
 
     Returns the (n-1)-qubit post-measurement state; raises ZeroProjection if
     the outcome has numerically zero probability.
     """
     if state.n_qubits < 2:
         raise DomainError("projection requires at least 2 qubits")
-    if isinstance(direction, PureState):
-        if direction.n_qubits != 1:
-            raise DimensionMismatch("projection direction must be a single-qubit state")
-        d = direction.amplitudes
-    else:
-        d = np.asarray(direction, dtype=complex).reshape(-1)
-        if d.size != 2:
-            raise DimensionMismatch("projection direction must have 2 amplitudes")
-        d = d / np.linalg.norm(d)
+    d = np.asarray(direction, dtype=complex).reshape(-1)
+    if d.size != 2:
+        raise DimensionMismatch("projection direction must have 2 amplitudes")
+    d = d / np.linalg.norm(d)
     rest = state.amplitudes.reshape(2, -1)
     reduced = np.conjugate(d) @ rest
     norm = float(np.linalg.norm(reduced))
@@ -223,7 +219,7 @@ def project_first_qubit(state: PureState, direction) -> PureState:
 def make_w() -> PureState:
     """Three-qubit W state, prepared by projecting the first qubit of the
     four-qubit Dicke state (two excitations) onto |1>."""
-    return project_first_qubit(make_dicke(4, 2), ket("1"))
+    return project_first_qubit(make_dicke(4, 2), [0, 1])
 
 
 def make_g() -> PureState:
@@ -233,16 +229,9 @@ def make_g() -> PureState:
     return project_first_qubit(make_dicke(4, 2), plus)
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Accept an integer seed, SeedSequence, or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()
@@ -253,7 +242,7 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 def random_pure(n, seed) -> PureState:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
     n = _check_qubits(n)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, amps / np.linalg.norm(amps))
 
@@ -270,7 +259,7 @@ def random_mixed(n, seed, rank=None) -> DensityMatrix:
         rank = d
     if not 1 <= rank <= d:
         raise DomainError(f"rank must be in [1, {d}], got {rank}")
-    return DensityMatrix(n, unit_trace(ginibre_product(d, rank, as_generator(seed))))
+    return DensityMatrix(n, unit_trace(ginibre_product(d, rank, np.random.default_rng(seed))))
 
 
 def ginibre_product(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,7 +277,7 @@ def unit_trace(matrices: np.ndarray) -> np.ndarray:
 def random_frame(n, seed) -> LocalFrame:
     """Independent Haar-random single-qubit unitaries, one per party."""
     n = _check_qubits(n)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     return LocalFrame(tuple(haar_unitary(2, rng) for _ in range(n)))
 
 

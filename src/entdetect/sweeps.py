@@ -260,6 +260,8 @@ def sweep_werner(
         raise DomainError(f"repeats must be >= 1, got {repeats}")
     n_runs = 1 if cfg.shots is None else repeats
     total = len(p_values) * n_runs
+    if total >= 2**32:
+        raise DomainError(f"werner sweep takes fewer than 2^32 runs, got {total}")
 
     def chunks():
         for start in range(0, total, CHUNK):

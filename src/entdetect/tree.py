@@ -127,12 +127,15 @@ class _PlannedNode(TreeNode):
 @dataclass
 class DecisionTree:
     root: TreeNode
-    n_qubits: int
     threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise DomainError(f"threshold must be in (0, 1), got {self.threshold}")
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.root.index)
 
 
 def _count_anti(mask: tuple[int, int], masks) -> int:
@@ -187,7 +190,7 @@ def _plan(n: int, root: Index, threshold: float, max_depth: Optional[int]) -> De
     if max_depth is None:
         max_depth = 3**n if n <= 2 else 8
     remaining = frozenset(all_full_indices(n)) - {root}
-    return DecisionTree(_PlannedNode(root, [], remaining, max_depth - 1), n, threshold)
+    return DecisionTree(_PlannedNode(root, [], remaining, max_depth - 1), threshold)
 
 
 def generate_tree(
@@ -378,7 +381,7 @@ def tree_from_dict(data: dict) -> DecisionTree:
     root = _node_from_dict(data["root"])
     if root is None:
         raise DomainError("tree has no root")
-    tree = DecisionTree(root, len(root.index), float(data.get("threshold", 0.5)))
+    tree = DecisionTree(root, float(data.get("threshold", 0.5)))
     validate_tree(tree)
     return tree
 

@@ -20,7 +20,6 @@ from entdetect import (
     default_tree_2q,
     full_tensor,
     make_colored,
-    make_werner,
     ppt_verdict,
     priority_order,
     random_frame,

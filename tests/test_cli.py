@@ -6,9 +6,15 @@ import pytest
 
 from conftest import NON_FINITE, non_finite_matrix
 import entdetect as ed
-from entdetect import bell_phi_plus, load_tree, mat_equal
+from entdetect import bell_phi_plus, cli, load_tree, mat_equal
 from entdetect.cli import main, parse_mode, parse_state_spec
-from entdetect.errors import ParseError
+from entdetect.errors import (
+    DegenerateDirection,
+    EntDetectError,
+    NotHermitian,
+    ParseError,
+    ZeroSuccess,
+)
 from entdetect.states import load_state
 
 
@@ -255,7 +261,7 @@ def test_bad_inputs_exit_code(capsys):
     assert main(["sweep-werner", "--p-min", "0.9", "--p-max", "0.5"]) == 2
     # Each of these is rejected before any work starts: the tiny step would
     # build a grid of about 1e299 points, a 5-qubit plan grows as 3^n, and
-    # the purity sweep seeds at most 2^32 samples.
+    # either sweep takes fewer than 2^32 runs.
     for argv in (
         ["detect", "bell", "--seed", "-1"],
         ["detect", "bell", "--frame-seed", "-1"],
@@ -267,6 +273,7 @@ def test_bad_inputs_exit_code(capsys):
         ["tree-gen", "2", "zz", "--max-depth", "-3"],
         ["tree-gen", "5", "zzzzz"],
         ["sweep-purity", "--samples", "4294967296"],
+        ["sweep-werner", "--mode", "shots", "--repeats", "100000000000"],
         # Generator.binomial takes the shot count as a C long.
         ["detect", "bell", "--mode", "shots=100000000000000000000"],
         ["schmidt", "bell", "--mode", "shots=100000000000000000000"],
@@ -308,8 +315,9 @@ def test_sweep_purity_rejects_too_many_bins(capsys):
         b'{"threshold": 0.5, "root": {"index": "zz", "big": ["yy"], "small": null}}',
         b"not a tree {",
         b"\xff\xfe not utf-8",
+        b'{"threshold": "x", "root": {"index": "zz", "big": null, "small": null}}',
     ],
-    ids=["node-without-index", "node-not-object", "not-json", "not-utf8"],
+    ids=["node-without-index", "node-not-object", "not-json", "not-utf8", "threshold-not-number"],
 )
 def test_detect_malformed_tree_file(tmp_path, capsys, content):
     path = tmp_path / "bad-tree.json"
@@ -325,6 +333,13 @@ def test_detect_state_file_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_detect_state_file_qubit_count_not_a_number(tmp_path, capsys):
+    path = tmp_path / "bad-state.json"
+    path.write_text(json.dumps({"n_qubits": "two", "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    assert main(["detect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("kind", NON_FINITE)
 def test_detect_rejects_a_non_finite_state_file(tmp_path, capsys, kind):
     path = tmp_path / "non-finite.json"
@@ -333,6 +348,41 @@ def test_detect_rejects_a_non_finite_state_file(tmp_path, capsys, kind):
     for command in ("detect", "schmidt"):
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+NUMERICAL_FAILURES = (NotHermitian, ZeroSuccess, DegenerateDirection, np.linalg.LinAlgError)
+WORK_FUNCTIONS = [
+    (["detect", "bell"], "detect_once"),
+    (["schmidt", "bell"], "run_protocol"),
+    (["sweep-werner"], "sweep_werner"),
+    (["sweep-purity"], "sweep_purity"),
+    (["state-gen", "bell", "--out", "unused.json"], "save_state"),
+    (["tree-gen", "2", "zz"], "generate_tree"),
+]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [EntDetectError, *EntDetectError.__subclasses__(), OSError, np.linalg.LinAlgError],
+    ids=lambda error: error.__name__,
+)
+def test_exit_code_map(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    code, prefix = (3, "numerical failure:") if error in NUMERICAL_FAILURES else (2, "error:")
+    for argv, work in WORK_FUNCTIONS:
+        monkeypatch.setattr(cli, work, fail)
+        capsys.readouterr()
+        assert main(argv) == code, argv
+        assert capsys.readouterr().err == f"{prefix} injected\n", argv
+
+
+def test_non_hermitian_state_file_is_a_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "non-hermitian.json"
+    path.write_text(json.dumps({"n_qubits": 1, "matrix": [[[0.5, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]}))
+    assert main(["detect", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_error_multiplier_validation(capsys):

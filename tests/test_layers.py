@@ -54,6 +54,7 @@ def _unused_imports(path: Path) -> set:
 def test_modules_use_every_import():
     # The package's public names are re-exported by __init__ alone.
     package = Path(entdetect.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        unused = set() if path.stem == "__init__" else _unused_imports(path)
-        assert not unused, f"{path.stem} imports {unused} without using them"
+    paths = [p for p in package.glob("*.py") if p.stem != "__init__"]
+    for path in sorted(paths + list(Path(__file__).parent.glob("*.py"))):
+        unused = _unused_imports(path)
+        assert not unused, f"{path.name} imports {unused} without using them"

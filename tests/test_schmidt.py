@@ -27,6 +27,7 @@ from entdetect import (
     random_pure,
     relative_phase,
     run_protocol,
+    schmidt,
     schmidt_oracle,
 )
 
@@ -217,7 +218,7 @@ def test_protocol_detects_entangled_pure_states():
         assert abs(result.sum_of_squares - (1 + math.sin(2 * target_theta) ** 2)) < 1e-6
 
 
-def test_protocol_convention_independent():
+def test_protocol_convention_independent(monkeypatch):
     rng = np.random.default_rng(9)
     for seed in range(10):
         psi = random_pure(2, rng)
@@ -225,10 +226,8 @@ def test_protocol_convention_independent():
         rho = framed.density()
         sums = []
         for perp_phase in (0.0, math.pi, 1.3):
-            result = run_protocol(
-                MeasurementSource(rho), ProtocolConfig(perp_phase=perp_phase)
-            )
-            sums.append(result.sum_of_squares)
+            monkeypatch.setattr(schmidt, "PERP_PHASE", perp_phase)
+            sums.append(run_protocol(MeasurementSource(rho)).sum_of_squares)
         assert max(sums) - min(sums) < 1e-9
 
 

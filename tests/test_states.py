@@ -88,7 +88,7 @@ def test_dicke_domain():
 
 def test_projection_gives_w_and_g():
     d42 = make_dicke(4, 2)
-    w = project_first_qubit(d42, ket("1"))
+    w = project_first_qubit(d42, [0, 1])
     assert mat_equal(w.amplitudes.reshape(-1, 1), make_dicke(3, 1).amplitudes.reshape(-1, 1))
     assert abs(np.linalg.norm(w.amplitudes) - 1) < 1e-9
     g = project_first_qubit(d42, np.array([1, 1]) / math.sqrt(2))
@@ -101,13 +101,13 @@ def test_projection_gives_w_and_g():
 
 
 def test_projection_bell_on_zero():
-    out = project_first_qubit(bell_phi_plus(), ket("0"))
+    out = project_first_qubit(bell_phi_plus(), [1, 0])
     assert np.allclose(out.amplitudes, [1, 0])
 
 
 def test_projection_zero_norm():
     with pytest.raises(ZeroProjection):
-        project_first_qubit(ket("00"), ket("1"))
+        project_first_qubit(ket("00"), [0, 1])
 
 
 def test_random_pure_normalized_and_deterministic():

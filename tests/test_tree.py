@@ -136,7 +136,7 @@ def test_default_tree_structure():
 def test_run_tree_rejects_a_repeated_index():
     # A hand-built tree that was never validated measures zz twice on a Bell
     # state (|T_zz| = 1 takes the big branch); the criterion refuses the repeat.
-    tree = DecisionTree(TreeNode(("z", "z"), big=TreeNode(("z", "z"))), 2)
+    tree = DecisionTree(TreeNode(("z", "z"), big=TreeNode(("z", "z"))), 0.5)
     with pytest.raises(DuplicateIndex):
         run_tree(MeasurementSource(bell_phi_plus().density()), tree)
 
