@@ -51,11 +51,10 @@ from .linalg import (
 from .oracles import EntanglementVerdict, brute_force_criterion, ppt_verdict
 from .schmidt import (
     ProtocolConfig,
-    basis_from_angles,
     bloch_to_basis,
-    pair_directions,
     relative_phase,
     run_protocol,
+    schmidt_frame,
     schmidt_oracle,
 )
 from .sources import MeasurementSource, measure_bloch

@@ -116,7 +116,7 @@ def _load_file(loader, path: str, kind: str):
         return loader(path)
     except EntDetectError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:  # JSON and UTF-8 errors are ValueErrors
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise ParseError(f"malformed {kind} file {path}: {exc}") from exc
 
 

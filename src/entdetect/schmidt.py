@@ -10,8 +10,15 @@ Bloch directions determine the local measurement bases
     |a>       = cos(xi) |0> + e^{i phi} sin(xi) |1>
     |a_perp>  = sin(xi) |0> - e^{i phi} cos(xi) |1>
 
-(the perpendicular vector carries the extra phase PERP_PHASE, a pure
+(the perpendicular vector carries the extra phase chi = PERP_PHASE, a pure
 convention choice that the tests vary to assert convention independence).
+The rotated frame z', y', x' of |a><a| - |a_perp><a_perp|, i|a_perp><a| -
+i|a><a_perp| and |a><a_perp| + |a_perp><a| has the closed form (schmidt_frame)
+    z' = (sin 2xi cos phi, sin 2xi sin phi, cos 2xi)
+    x' = (-cos chi cos 2xi cos phi + sin chi sin phi,
+          -cos chi cos 2xi sin phi - sin chi cos phi, cos chi sin 2xi)
+    y' = z' x x'
+
 Verification then measures the correlations along the rotated frames:
 T_z'z'' and T_y'y'' always; by default also T_x'y'', which makes the
 accumulated sum exactly 1 + sin^2(2 theta) for pure states regardless of
@@ -22,7 +29,6 @@ measures the extra pair when it is small.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,7 +42,6 @@ from .correlations import (
     criterion_add,
 )
 from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatch
-from .linalg import PAULIS
 from .sources import measure_bloch
 from .states import FilterOp, PureState
 
@@ -47,6 +52,7 @@ SHOT_VANISHING_FLOOR = 0.2
 PHASE_THRESHOLD = 0.3
 MIN_BLOCH_NORM = 1e-9
 PERP_PHASE = 0.0
+FRAME_ROWS = "zyx"  # primed axes of schmidt_frame's rows
 
 
 def schmidt_oracle(psi: PureState):
@@ -85,27 +91,18 @@ def bloch_to_basis(alpha) -> tuple[float, float]:
     return xi, phi
 
 
-def basis_from_angles(xi: float, phi: float, perp_phase: float = 0.0):
-    """The basis pair (|a>, |a_perp>) for given angles; perp_phase multiplies
-    the perpendicular vector (a pure convention choice)."""
-    a = np.array([math.cos(xi), cmath.exp(1j * phi) * math.sin(xi)])
-    a_perp = cmath.exp(1j * perp_phase) * np.array(
-        [math.sin(xi), -cmath.exp(1j * phi) * math.cos(xi)]
-    )
-    return a, a_perp
-
-
-def operator_direction(op: np.ndarray) -> np.ndarray:
-    """Bloch direction of a traceless single-qubit involution."""
-    return np.array([float(np.trace(PAULIS[ax] @ op).real) / 2.0 for ax in ("x", "y", "z")])
-
-
-def pair_directions(v0: np.ndarray, v1: np.ndarray) -> dict:
-    """Directions of the z/y/x-like operators built from a basis pair."""
-    z_op = np.outer(v0, np.conjugate(v0)) - np.outer(v1, np.conjugate(v1))
-    y_op = 1j * np.outer(v1, np.conjugate(v0)) - 1j * np.outer(v0, np.conjugate(v1))
-    x_op = np.outer(v0, np.conjugate(v1)) + np.outer(v1, np.conjugate(v0))
-    return {"z": operator_direction(z_op), "y": operator_direction(y_op), "x": operator_direction(x_op)}
+def schmidt_frame(xi: float, phi: float) -> np.ndarray:
+    """Rows z', y', x' of the frame set by the basis angles (see the module
+    docstring), read in closed form; PERP_PHASE is looked up per call."""
+    chi = PERP_PHASE
+    s2, c2 = math.sin(2.0 * xi), math.cos(2.0 * xi)
+    sp, cp = math.sin(phi), math.cos(phi)
+    sc, cc = math.sin(chi), math.cos(chi)
+    z = (s2 * cp, s2 * sp, c2)
+    x = (-cc * c2 * cp + sc * sp, -cc * c2 * sp - sc * cp, cc * s2)
+    # y' = z' x x', component-wise: np.cross costs more than the rest here.
+    y = (z[1] * x[2] - z[2] * x[1], z[2] * x[0] - z[0] * x[2], z[0] * x[1] - z[1] * x[0])
+    return np.array((z, y, x))
 
 
 def relative_phase(t_yy: float, bloch_a) -> float:
@@ -178,8 +175,8 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
 
     xi_a, phi_a = bloch_to_basis(bloch_a)
     xi_b, phi_b = bloch_to_basis(bloch_b)
-    dirs_a = pair_directions(*basis_from_angles(xi_a, phi_a, PERP_PHASE))
-    dirs_b = pair_directions(*basis_from_angles(xi_b, phi_b, PERP_PHASE))
+    frame_a = schmidt_frame(xi_a, phi_a)
+    frame_b = schmidt_frame(xi_b, phi_b)
     details["frame"] = {
         "xi_a": xi_a, "phi_a": phi_a, "xi_b": xi_b, "phi_b": phi_b,
         "theta_estimate": 0.5 * math.acos(min(1.0, float(np.linalg.norm(bloch_a)))),
@@ -188,7 +185,8 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
     crit = CriterionState()
 
     def verify(axis_a, axis_b) -> bool:
-        value, stderr = source.measure_directions([dirs_a[axis_a], dirs_b[axis_b]])
+        rows = [frame_a[FRAME_ROWS.index(axis_a)], frame_b[FRAME_ROWS.index(axis_b)]]
+        value, stderr = source.measure_directions(rows)
         transcript.append(CorrelationRecord((axis_a, axis_b), value, stderr, source.shots))
         return criterion_add(crit, transcript[-1], config.error_multiplier)
 

@@ -131,14 +131,16 @@ def _result_digest(result):
 # SHA-256 of every record, the steps, sum, error, strategy and details of
 # each DETAIL_RUNS path, pinned while the result still stored its numbers
 # next to the records: deriving them from the records must change no bit.
+# protocol-filtered and protocol-phase-gated were re-taken when the Schmidt
+# frame went closed-form, which moves exact-mode records by rounding.
 RESULT_DIGESTS = {
     "tree-exact": "59c08218fcd3473571c0f17e87c8c5792c64d5a0d12ea4d9cb27ac9d9195daa9",
     "tree-shots": "fc716b6f9159499ff4f3dc98f780854dc4f75275b84774144e451373c32a19d3",
     "bloch-3q": "c5928c27249c886be76b946fc7d979b81246597b176022578c5198599c595893",
     "bloch-4q": "cf699aadbbcd7d560d7afabb80dd4c7dfb4cabf53143aa173f5494eadc6543cf",
-    "protocol-filtered": "843eff0540cff55f87ffa7c28413f29c18ec78a4a5560911a6ee7d184e38ada8",
+    "protocol-filtered": "24550b3c12b24af60b28b81ac158d93015887290f907e0bde04ed8a4e8c7b679",
     "protocol-unfiltered": "673f2e0baf84bdc45ece37ab72887a0e99be5ca29b0a747b6438e83a54a62717",
-    "protocol-phase-gated": "bb393b12fd73c2052741d2c3a01ec522c41f2b99e7cee33a9673319285ed7283",
+    "protocol-phase-gated": "7811529513e42d1b18484c515da64d8bebe968fb844031ec4730f1217624787e",
     "protocol-aborted": "e854de4058c2ae1648ffc77b2830e3e140b666ad7606643b6b15a0948284d3f4",
 }
 
@@ -316,8 +318,9 @@ def test_sweep_purity_rejects_too_many_bins(capsys):
         b"not a tree {",
         b"\xff\xfe not utf-8",
         b'{"threshold": "x", "root": {"index": "zz", "big": null, "small": null}}',
+        b'{"threshold": 0.5, "root": ' + b'{"index": "zz", "small": null, "big": ' * 3000 + b"null" + b"}" * 3001,
     ],
-    ids=["node-without-index", "node-not-object", "not-json", "not-utf8", "threshold-not-number"],
+    ids=["node-without-index", "node-not-object", "not-json", "not-utf8", "threshold-not-number", "nested-3000-deep"],
 )
 def test_detect_malformed_tree_file(tmp_path, capsys, content):
     path = tmp_path / "bad-tree.json"
@@ -329,6 +332,13 @@ def test_detect_malformed_tree_file(tmp_path, capsys, content):
 def test_detect_state_file_not_utf8(tmp_path, capsys):
     path = tmp_path / "bad-state.json"
     path.write_bytes(b"\xff\xfe not utf-8")
+    assert main(["detect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_detect_state_file_nested_too_deep(tmp_path, capsys):
+    path = tmp_path / "deep-state.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
     assert main(["detect", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -1,3 +1,5 @@
+import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -9,25 +11,25 @@ from entdetect import (
     DegenerateDirection,
     DomainError,
     FilterOp,
+    PAULIS,
     MeasurementSource,
     ProtocolConfig,
     PureState,
     ZeroSuccess,
     apply_filter,
     apply_frame,
-    basis_from_angles,
     bell_phi_plus,
     bloch_to_basis,
     bloch_vector,
     ket,
     make_werner,
-    pair_directions,
     purity,
     random_frame,
     random_pure,
     relative_phase,
     run_protocol,
     schmidt,
+    schmidt_frame,
     schmidt_oracle,
 )
 
@@ -102,22 +104,54 @@ def test_bloch_to_basis_degenerate():
         bloch_to_basis([0, 0, 0])
 
 
-def test_basis_pair_orthonormal_and_directions():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
+# The frame's oracle: build the basis pair, then the z/y/x-like operators
+# from it, and read each operator's Bloch direction off the Paulis.
+
+
+def basis_from_angles(xi: float, phi: float, perp_phase: float = 0.0):
+    """The basis pair (|a>, |a_perp>) for given angles; perp_phase multiplies
+    the perpendicular vector (a pure convention choice)."""
+    a = np.array([math.cos(xi), cmath.exp(1j * phi) * math.sin(xi)])
+    a_perp = cmath.exp(1j * perp_phase) * np.array(
+        [math.sin(xi), -cmath.exp(1j * phi) * math.cos(xi)]
+    )
+    return a, a_perp
+
+
+def operator_direction(op: np.ndarray) -> np.ndarray:
+    """Bloch direction of a traceless single-qubit involution."""
+    return np.array([float(np.trace(PAULIS[ax] @ op).real) / 2.0 for ax in ("x", "y", "z")])
+
+
+def pair_directions(v0: np.ndarray, v1: np.ndarray) -> dict:
+    """Directions of the z/y/x-like operators built from a basis pair."""
+    z_op = np.outer(v0, np.conjugate(v0)) - np.outer(v1, np.conjugate(v1))
+    y_op = 1j * np.outer(v1, np.conjugate(v0)) - 1j * np.outer(v0, np.conjugate(v1))
+    x_op = np.outer(v0, np.conjugate(v1)) + np.outer(v1, np.conjugate(v0))
+    return {"z": operator_direction(z_op), "y": operator_direction(y_op), "x": operator_direction(x_op)}
+
+
+def oracle_frame(xi: float, phi: float) -> np.ndarray:
+    dirs = pair_directions(*basis_from_angles(xi, phi, schmidt.PERP_PHASE))
+    return np.array([dirs[axis] for axis in schmidt.FRAME_ROWS])
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.7, math.pi / 2])
+def test_schmidt_frame_matches_oracle(monkeypatch, chi):
+    monkeypatch.setattr(schmidt, "PERP_PHASE", chi)
+    rng = np.random.default_rng(3)
+    directions = [v / np.linalg.norm(v) for v in rng.standard_normal((300, 3))]
+    directions += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]  # the poles
+    for v in directions:
         xi, phi = bloch_to_basis(v)
-        a, a_perp = basis_from_angles(xi, phi)
-        assert abs(np.vdot(a, a) - 1) < 1e-12
-        assert abs(np.vdot(a_perp, a_perp) - 1) < 1e-12
+        a, a_perp = basis_from_angles(xi, phi, chi)
+        assert abs(np.vdot(a, a) - 1) < 1e-12 and abs(np.vdot(a_perp, a_perp) - 1) < 1e-12
         assert abs(np.vdot(a, a_perp)) < 1e-12
-        dirs = pair_directions(a, a_perp)
-        assert np.allclose(dirs["z"], v, atol=1e-9)
-        for axis in ("x", "y", "z"):
-            assert abs(np.linalg.norm(dirs[axis]) - 1) < 1e-9
-        assert abs(dirs["z"] @ dirs["y"]) < 1e-9
-        assert abs(dirs["z"] @ dirs["x"]) < 1e-9
+        frame = schmidt_frame(xi, phi)
+        assert np.max(np.abs(frame - oracle_frame(xi, phi))) < 1e-15
+        assert np.max(np.abs(frame[0] - v)) < 1e-9
+        assert np.max(np.abs(frame @ frame.T - np.eye(3))) < 1e-15
+        assert abs(np.linalg.det(frame[::-1]) - 1) < 1e-15  # (x', y', z') is right-handed
 
 
 def test_filter_identity_strength():
@@ -224,11 +258,14 @@ def test_protocol_convention_independent(monkeypatch):
         psi = random_pure(2, rng)
         framed = apply_frame(psi, random_frame(2, rng))
         rho = framed.density()
-        sums = []
+        sums, x_rows = [], []
         for perp_phase in (0.0, math.pi, 1.3):
             monkeypatch.setattr(schmidt, "PERP_PHASE", perp_phase)
             sums.append(run_protocol(MeasurementSource(rho)).sum_of_squares)
+            x_rows.append(schmidt_frame(0.3, 1.1)[2])
         assert max(sums) - min(sums) < 1e-9
+        # the patch reaches the frame, so the sums agree for a reason
+        assert min(np.linalg.norm(x_rows[i] - x_rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))) > 0.5
 
 
 def test_protocol_transcript_structure():
@@ -260,3 +297,44 @@ def test_protocol_mixed_state_graceful():
     rho = make_werner(0.2)
     result = run_protocol(MeasurementSource(rho))
     assert not result.detected
+
+
+@pytest.mark.parametrize("shots", [None, 4500])
+def test_protocol_oracle_frame_equivalence(monkeypatch, shots):
+    # The whole protocol, once with the closed-form frame and once with the
+    # oracle's, on unfiltered, filtered and product inputs in both modes.
+    rng = np.random.default_rng(11)
+    psis = [random_pure(2, rng) for _ in range(8)] + [bell_phi_plus(), ket("01"), diag_state(0.5, math.pi / 2)]
+    for k, psi in enumerate(psis):
+        rho = apply_frame(psi, random_frame(2, rng)).density()
+        for config in (ProtocolConfig(), ProtocolConfig(always_extra=False)):
+            results = []
+            for frame in (schmidt_frame, oracle_frame):
+                monkeypatch.setattr(schmidt, "schmidt_frame", frame)
+                source = MeasurementSource(rho, shots, np.random.default_rng(k))
+                results.append(run_protocol(source, config))
+            closed, oracle = results
+            assert (closed.verdict, closed.steps, closed.strategy) == (oracle.verdict, oracle.steps, oracle.strategy)
+            assert list(closed.details) == list(oracle.details)
+            assert [r.index for r in closed.records] == [r.index for r in oracle.records]
+            assert max(abs(a.value - b.value) for a, b in zip(closed.records, oracle.records)) < 1e-15
+
+
+SHOT_TRANSCRIPT_DIGEST = "e6f0405e49c0d71cde355d1d6548c08b46a474e9e1497623d1a6acfbf25dd46e"
+
+
+def test_protocol_shot_mode_transcripts_pinned():
+    # One digest over every record, verdict and details key of 200 runs at
+    # 4500 shots (100 Haar-random, 50 Bell, always filtered, and 50 product
+    # states, each framed): how the frame is computed must not move a bit.
+    rng = np.random.default_rng(20261019)
+    psis = [random_pure(2, rng) for _ in range(100)] + [bell_phi_plus()] * 50 + [ket("01")] * 50
+    h = hashlib.sha256()
+    for k, psi in enumerate(psis):
+        rho = apply_frame(psi, random_frame(2, rng)).density()
+        result = run_protocol(MeasurementSource(rho, 4500, np.random.default_rng(k)))
+        for r in result.records:
+            h.update(f"{r.index}|{r.value.hex()}|{r.stderr.hex()};".encode())
+        h.update(f"{result.verdict}|{sorted(result.details)}".encode())
+        h.update(result.details["identity_error"].hex().encode() if "identity_error" in result.details else b"-")
+    assert h.hexdigest() == SHOT_TRANSCRIPT_DIGEST
