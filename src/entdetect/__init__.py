@@ -50,7 +50,6 @@ from .linalg import (
 )
 from .oracles import EntanglementVerdict, brute_force_criterion, ppt_verdict
 from .schmidt import (
-    ProtocolConfig,
     bloch_to_basis,
     relative_phase,
     run_protocol,

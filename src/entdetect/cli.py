@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     ZeroSuccess,
 )
-from .schmidt import ProtocolConfig, run_protocol
+from .schmidt import run_protocol
 from .sources import MeasurementSource
 from .states import (
     DensityMatrix,
@@ -190,7 +190,7 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         shots=parse_mode(args.mode),
         seed=args.seed,
-        threshold=args.threshold,
+        threshold=getattr(args, "threshold", ExperimentConfig.threshold),  # schmidt has none
         error_multiplier=args.error_multiplier,
     )
 
@@ -216,16 +216,16 @@ def cmd_schmidt(args) -> int:
     if state.n_qubits != 2:
         raise ParseError("the schmidt command needs a two-qubit state")
     source = MeasurementSource(state, cfg.shots, np.random.default_rng(cfg.seed))
-    protocol = ProtocolConfig(
+    result = run_protocol(
+        source,
         filter_eps=args.filter_eps,
         always_extra=not args.minimal,
         error_multiplier=cfg.error_multiplier,
     )
-    result = run_protocol(source, protocol)
     _print_summary(result)
     if result.details.get("filter"):
-        p = result.details["filter"]["success_probability"]
-        print(f"filter applied (eps={protocol.filter_eps}, success probability {p:.4f})")
+        f = result.details["filter"]
+        print(f"filter applied (eps={f['eps']}, success probability {f['success_probability']:.4f})")
     if args.out:
         _emit(json.dumps(_result_payload(result, cfg), indent=2) + "\n", args.out)
     return 0
@@ -272,10 +272,11 @@ def cmd_tree_gen(args) -> int:
     return 0
 
 
-def _add_common(parser, *, frame=True):
+def _add_common(parser, *, frame=True, threshold=True):
     parser.add_argument("--mode", default="exact", help="exact | shots | shots=N (default exact)")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument("--threshold", type=float, default=0.5, help="big/small branching threshold")
+    if threshold:
+        parser.add_argument("--threshold", type=float, default=0.5, help="big/small branching threshold")
     parser.add_argument(
         "--error-multiplier", type=float, default=1.0,
         help="standard errors subtracted before the detection verdict in shot mode",
@@ -298,13 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run the decision tree on a state")
     p.add_argument("state", help="state spec (werner:0.8, colored:0.3, bell, w, g, dicke:4:2, file.json)")
     _add_common(p)
-    p.add_argument("--tree", default=None, help="JSON file with a measurement plan")
-    p.add_argument("--root", default=None, help="root a generated tree at this index (e.g. zz)")
+    plan = p.add_mutually_exclusive_group()
+    plan.add_argument("--tree", default=None, help="JSON file with a measurement plan and its threshold")
+    plan.add_argument("--root", default=None, help="root a generated tree at this index (e.g. zz)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("schmidt", help="run the Schmidt-basis calibration protocol")
     p.add_argument("state", help="two-qubit state spec")
-    _add_common(p)
+    _add_common(p, threshold=False)
     p.add_argument("--filter-eps", type=float, default=0.5, help="filter strength (default 0.5)")
     p.add_argument("--minimal", action="store_true",
                    help="phase-gated variant: skip the extra correlation unless the phase is small")

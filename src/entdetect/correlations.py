@@ -8,11 +8,13 @@ bloch_vector, full_tensor, the measurement sources) is a lookup in or a
 contraction of that tensor, and sample is the one binomial model of a
 finite-statistics measurement, which sources.MeasurementSource applies to
 every query in shot mode; pauli_tensors does the same for a whole stack
-of states. criterion_add folds a run's records into a CriterionState in O(1)
-and detects once the sum of squared full correlations exceeds 1 (minus a
-multiple of the propagated error in shot mode), by the one rule
-criterion_met, which the batched sweep walker applies to whole stacks; a
-DetectionResult reads its numbers back from its records.
+of states. A record's standard error is derived from its value and shot
+count (standard_error). criterion_add folds a run's records into a
+CriterionState in O(1) and detects once the sum of squared full
+correlations exceeds 1 (minus a multiple of the propagated error in shot
+mode), by the one rule criterion_met, which the batched sweep walker
+applies to whole stacks; a DetectionResult reads its numbers back from
+its records.
 """
 
 from __future__ import annotations
@@ -131,12 +133,17 @@ def sample(t, shots: int, rng: np.random.Generator):
     """Binomial finite-statistics model of a correlation with exact value t,
     or of each exact value of an array t, drawn in C order.
 
-    n_plus ~ Binomial(shots, (1+t)/2); returns value = (n_plus - n_minus)/shots
-    and stderr = sqrt((1 - value^2)/shots).
+    n_plus ~ Binomial(shots, (1+t)/2); returns value = (n_plus - n_minus)/shots.
     """
     n_plus = rng.binomial(shots, (1.0 + t) / 2.0)
-    value = (2 * n_plus - shots) / shots
-    return value, _sqrt((1.0 - value * value) / shots)
+    return (2 * n_plus - shots) / shots
+
+
+def standard_error(value, shots: Optional[int]):
+    """Binomial standard error sqrt((1 - value^2)/shots) of a value estimated
+    from shots outcomes, for floats or arrays; 0 for an exact value (shots
+    None)."""
+    return 0.0 if shots is None else _sqrt((1.0 - value * value) / shots)
 
 
 def correlation(rho: DensityMatrix, index: Index) -> float:
@@ -146,21 +153,21 @@ def correlation(rho: DensityMatrix, index: Index) -> float:
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    """A measured correlation: exact (stderr 0, shots None) or sampled."""
+    """A measured correlation: exact (shots None) or estimated from shots
+    outcomes. Its stderr is standard_error(value, shots), set once here."""
 
     index: Index
     value: float
-    stderr: float = 0.0
     shots: Optional[int] = None
+    stderr: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "index", tuple(self.index))
-        if self.stderr < 0:
-            raise DomainError("stderr must be non-negative")
-        if abs(self.value) > 1.0 + 3.0 * self.stderr + 1e-12:
-            raise DomainError(
-                f"|value| = {abs(self.value)} exceeds 1 + 3*stderr = {1 + 3 * self.stderr}"
-            )
+        if not abs(self.value) <= 1.0:
+            raise DomainError(f"correlation value {self.value} outside [-1, 1]")
+        if self.shots is not None and self.shots < 1:
+            raise DomainError(f"a sampled correlation needs at least one shot, got {self.shots}")
+        object.__setattr__(self, "stderr", standard_error(self.value, self.shots))
 
 
 def bloch_vector(rho: DensityMatrix, party: int) -> np.ndarray:

@@ -30,7 +30,6 @@ measures the extra pair when it is small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatc
 from .sources import measure_bloch
 from .states import FilterOp, PureState
 
-# The protocol's fixed settings (see ProtocolConfig and bloch_to_basis).
+# The protocol's fixed settings (see run_protocol and bloch_to_basis).
 FILTER_PARTY = 1
 VANISHING_THRESHOLD = 0.1
 SHOT_VANISHING_FLOOR = 0.2
@@ -120,9 +119,10 @@ def relative_phase(t_yy: float, bloch_a) -> float:
     return float(np.clip(t_yy / math.sqrt(denom_sq), -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Settings of run_protocol.
+def run_protocol(
+    source, *, filter_eps: float = 0.5, always_extra: bool = True, error_multiplier: float = 1.0
+) -> DetectionResult:
+    """Full calibration-plus-verification run against a measurement source.
 
     The filter (strength filter_eps, on party FILTER_PARTY) applies when a
     Bloch norm is below VANISHING_THRESHOLD in exact mode, or below
@@ -131,25 +131,17 @@ class ProtocolConfig:
     verification bases) on the filtering path. always_extra=True measures
     T_x'y'' unconditionally; False gives the phase-gated minimal variant
     (extra pair only when |cos(phase)| < PHASE_THRESHOLD).
-    """
-
-    filter_eps: float = 0.5
-    always_extra: bool = True
-    error_multiplier: float = 1.0
-
-
-def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> DetectionResult:
-    """Full calibration-plus-verification run against a measurement source.
 
     The transcript lists, in order, the 6 local Bloch measurements, the
     repeated Bloch stage when filtering was applied, and the verification
     correlations in the rotated frames (labelled by their primed axes).
     Detection means the accumulated sum of squared full correlations exceeds
-    1 (after error subtraction in shot mode).
+    1 (after subtracting error_multiplier propagated errors in shot mode).
     """
     if source.n_qubits != 2:
         raise DimensionMismatch("the protocol runs on two-qubit sources")
-    details = {"mode": "always-extra" if config.always_extra else "phase-gated"}
+    filter_op = FilterOp(FILTER_PARTY, filter_eps)
+    details = {"mode": "always-extra" if always_extra else "phase-gated"}
 
     transcript, (bloch_a, bloch_b), (err_a, err_b) = measure_bloch(source)
     if source.shots is None:
@@ -159,19 +151,16 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
         thr_b = max(SHOT_VANISHING_FLOOR, 3.0 * float(np.linalg.norm(err_b)))
     details["vanishing_thresholds"] = [thr_a, thr_b]
 
-    if np.linalg.norm(bloch_a) < thr_a or np.linalg.norm(bloch_b) < thr_b:
-        p_succ = source.apply_filter(FilterOp(FILTER_PARTY, config.filter_eps))
-        details["filter"] = {
-            "party": FILTER_PARTY,
-            "eps": config.filter_eps,
-            "success_probability": p_succ,
-        }
+    norm_a, norm_b = float(np.linalg.norm(bloch_a)), float(np.linalg.norm(bloch_b))
+    if norm_a < thr_a or norm_b < thr_b:
+        p_succ = source.apply_filter(filter_op)
+        details["filter"] = {"party": FILTER_PARTY, "eps": filter_eps, "success_probability": p_succ}
         records, (bloch_a, bloch_b), (err_a, err_b) = measure_bloch(source)
         transcript += records
-
-    if np.linalg.norm(bloch_a) < thr_a or np.linalg.norm(bloch_b) < thr_b:
-        details["abort"] = "bloch-degenerate"
-        return DetectionResult(tuple(transcript), False, "schmidt", details)
+        norm_a, norm_b = float(np.linalg.norm(bloch_a)), float(np.linalg.norm(bloch_b))
+        if norm_a < thr_a or norm_b < thr_b:
+            details["abort"] = "bloch-degenerate"
+            return DetectionResult(tuple(transcript), False, "schmidt", details)
 
     xi_a, phi_a = bloch_to_basis(bloch_a)
     xi_b, phi_b = bloch_to_basis(bloch_b)
@@ -179,16 +168,16 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
     frame_b = schmidt_frame(xi_b, phi_b)
     details["frame"] = {
         "xi_a": xi_a, "phi_a": phi_a, "xi_b": xi_b, "phi_b": phi_b,
-        "theta_estimate": 0.5 * math.acos(min(1.0, float(np.linalg.norm(bloch_a)))),
+        "theta_estimate": 0.5 * math.acos(min(1.0, norm_a)),
     }
 
     crit = CriterionState()
 
     def verify(axis_a, axis_b) -> bool:
         rows = [frame_a[FRAME_ROWS.index(axis_a)], frame_b[FRAME_ROWS.index(axis_b)]]
-        value, stderr = source.measure_directions(rows)
-        transcript.append(CorrelationRecord((axis_a, axis_b), value, stderr, source.shots))
-        return criterion_add(crit, transcript[-1], config.error_multiplier)
+        value = source.measure_directions(rows)
+        transcript.append(CorrelationRecord((axis_a, axis_b), value, source.shots))
+        return criterion_add(crit, transcript[-1], error_multiplier)
 
     verify("z", "z")
     detected = verify("y", "y")
@@ -201,7 +190,7 @@ def run_protocol(source, config: ProtocolConfig = ProtocolConfig()) -> Detection
     details["frame"]["relative_phase"] = None if cos_phase is None else math.acos(cos_phase)
 
     small_phase = cos_phase is not None and abs(cos_phase) < PHASE_THRESHOLD
-    if config.always_extra or (not detected and small_phase):
+    if always_extra or (not detected and small_phase):
         detected = verify("x", "y") or verify("y", "x")
 
     # Error of the accumulated sum as an estimator of the pure-state identity

@@ -46,16 +46,15 @@ class MeasurementSource:
     def n_qubits(self) -> int:
         return self._state.n_qubits
 
-    def _observe(self, t: float) -> tuple[float, float]:
-        return (t, 0.0) if self.shots is None else sample(t, self.shots, self._rng)
+    def _observe(self, t: float) -> float:
+        return t if self.shots is None else sample(t, self.shots, self._rng)
 
     def measure_index(self, index: Index) -> CorrelationRecord:
         """Correlation along Pauli-labelled axes."""
         index = tuple(index)
-        value, stderr = self._observe(lookup(self._tensor, index))
-        return CorrelationRecord(index, value, stderr, self.shots)
+        return CorrelationRecord(index, self._observe(lookup(self._tensor, index)), self.shots)
 
-    def measure_directions(self, directions: Sequence) -> tuple[float, float]:
+    def measure_directions(self, directions: Sequence) -> float:
         """Correlation along arbitrary local directions (None = identity)."""
         if len(directions) != self.n_qubits:
             raise DimensionMismatch(

@@ -10,7 +10,8 @@ measures each index at most once, and each draw is an independent
 binomial given the state, so drawing all 3^n values up front gives every
 run the distribution of run_tree's lazy draws. CompiledTree.walk then
 takes every row of the batch through the decision tree and the priority
-queue at once, with the tree expanded into arrays, and detects by
+queue at once, with the tree expanded into arrays once per process and the
+run's threshold and shot count passed to each walk, and detects by
 criterion_met, the rule of run_tree's criterion_add.
 
 Seeding: the purity sweep draws sample i from the i-th generator spawned
@@ -25,7 +26,6 @@ on neither CHUNK nor WALK_ROWS.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .correlations import MAX_SHOTS, all_full_indices, criterion_met, error_variance
-from .correlations import full_positions, pauli_tensors, sample
+from .correlations import full_positions, pauli_tensors, sample, standard_error
 from .errors import DomainError
 from .oracles import ppt_test
 from .states import check_density, make_werner, purities, unit_trace
@@ -128,7 +128,6 @@ class CompiledTree:
         ids = {idx: k for k, idx in enumerate(fulls)}
         self.anti = anticommutation_table(fulls)
         self.lex_rank = np.argsort(np.argsort(np.array(["".join(idx) for idx in fulls])))
-        self.threshold = tree.threshold
         nodes = [tree.root]
         full_id, children = [], []
         for node in nodes:  # breadth first; nodes grows as children are found
@@ -142,20 +141,22 @@ class CompiledTree:
         self.full_id = np.array(full_id)
         self.big, self.small = np.array(children).T
 
-    def walk(self, values: np.ndarray, stderrs=0.0, error_multiplier: float = 1.0) -> Walk:
-        """run_tree for a stack of rows at once.
+    def walk(
+        self, values: np.ndarray, threshold: float, shots=None, error_multiplier: float = 1.0
+    ) -> Walk:
+        """run_tree for a stack of rows at once, branching at threshold.
 
         values is a (N, 3^n) stack of the values each row's source would
-        return for all_full_indices(n), and stderrs their standard errors (0
-        in exact mode). Each row takes the path run_tree would take, adding
-        v^2 and its error variance in the same order and stopping at
+        return for all_full_indices(n), each estimated from shots outcomes
+        (None in exact mode). Each row takes the path run_tree would take,
+        adding v^2 and its error variance in the same order and stopping at
         detection by criterion_met; a row that leaves the tree undetected
         continues through priority_order's queue: unmeasured indices by their
         spent budget, summed record by record in record order, ties broken
         by the index.
         """
         squares = values * values
-        terms = error_variance(values, stderrs)
+        terms = error_variance(values, standard_error(values, shots))
         count, n_full = values.shape
         total = np.zeros(count)
         variance = np.zeros(count)
@@ -177,7 +178,7 @@ class CompiledTree:
         while live.size:
             full = self.full_id[node]
             hit = measure(live, full)
-            big = np.abs(values[live, full]) >= self.threshold
+            big = np.abs(values[live, full]) >= threshold
             node = np.where(big, self.big[node], self.small[node])
             keep = ~hit & (node >= 0) & (steps[live] < n_full)
             live, node = live[keep], node[keep]
@@ -203,7 +204,7 @@ class CompiledTree:
 @cache
 def _default_plan_2q() -> CompiledTree:
     """default_tree_2q compiled once per process. Its nodes do not depend
-    on the threshold, so a sweep copies the plan and sets only that."""
+    on the threshold, which each sweep hands to walk."""
     return CompiledTree(default_tree_2q())
 
 
@@ -229,18 +230,16 @@ def _sweep(chunks, parameters, cfg: ExperimentConfig) -> SweepResult:
     chunks yields (group, exact) pairs: a row of exact holds one run's values
     for all_full_indices(2), and group the index of the parameter it counts
     toward. The rows are walked in batches of about WALK_ROWS (_batches); in
-    shot mode the values are first drawn from the sweep's noise generator.
+    shot mode the values are first drawn from the sweep's noise generator,
+    and each walk derives their standard errors from cfg.shots.
     """
-    plan = copy.copy(_default_plan_2q())
-    plan.threshold = cfg.threshold
+    plan = _default_plan_2q()
     noise = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     runs, hits = np.zeros((2, len(parameters)), dtype=int)
     steps = np.zeros(len(parameters))
     for group, exact in _batches(chunks):
-        if cfg.shots is None:
-            walk = plan.walk(exact)
-        else:
-            walk = plan.walk(*sample(exact, cfg.shots, noise), cfg.error_multiplier)
+        values = exact if cfg.shots is None else sample(exact, cfg.shots, noise)
+        walk = plan.walk(values, cfg.threshold, cfg.shots, cfg.error_multiplier)
         np.add.at(runs, group, 1)
         np.add.at(hits, group[walk.detected], 1)
         np.add.at(steps, group[walk.detected], walk.steps[walk.detected])

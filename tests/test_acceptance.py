@@ -225,7 +225,7 @@ def test_criterion_09_bloch_heuristic():
         for party in range(3):
             b = bloch_vector(rho, party)
             dirs.append(b / np.linalg.norm(b))
-        t_bloch, _ = MeasurementSource(rho).measure_directions(dirs)
+        t_bloch = MeasurementSource(rho).measure_directions(dirs)
         if abs(t_bloch) >= factor * ft.max_abs():
             ok += 1
     fraction = ok / n

@@ -1,8 +1,13 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import NON_FINITE, non_finite_matrix
 import entdetect as ed
@@ -96,7 +101,7 @@ DETAIL_RUNS = {
     "protocol-filtered": lambda: ed.run_protocol(_source(_framed(bell_phi_plus(), 3))),
     "protocol-unfiltered": lambda: ed.run_protocol(_source(_framed(ed.random_pure(2, 4), 5), 4500)),
     "protocol-phase-gated": lambda: ed.run_protocol(
-        _source(_framed(ed.random_pure(2, 6), 7)), ed.ProtocolConfig(always_extra=False)
+        _source(_framed(ed.random_pure(2, 6), 7)), always_extra=False
     ),
     "protocol-aborted": lambda: ed.run_protocol(_source(ed.make_werner(0.0))),
 }
@@ -281,10 +286,30 @@ def test_bad_inputs_exit_code(capsys):
         ["schmidt", "bell", "--mode", "shots=100000000000000000000"],
         ["sweep-werner", "--mode", "shots=100000000000000000000"],
         ["sweep-purity", "--mode", "shots=100000000000000000000"],
+        # The filter's strength is checked even when no filter fires.
+        ["schmidt", "colored:0.3", "--filter-eps", "5"],
+        ["schmidt", "colored:0.3", "--filter-eps", "nan"],
+        ["schmidt", "colored:0.3", "--filter-eps", "0"],
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_flags_no_run_reads_are_refused(tmp_path, capsys):
+    # schmidt has no branching threshold, and a tree file carries its own
+    # plan, so --root beside --tree would be dropped without a word.
+    tree_path = tmp_path / "t.json"
+    assert main(["tree-gen", "2", "xx", "--out", str(tree_path)]) == 0
+    for argv in (
+        ["schmidt", "bell", "--threshold", "0.9"],
+        ["detect", "bell", "--tree", str(tree_path), "--root", "xx"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
 
 
 def test_shot_mode_detect_deterministic(tmp_path):
@@ -418,3 +443,127 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "verdict:" in proc.stdout
+
+
+# --- every command, drawn from the parser ---------------------------------
+
+COMMANDS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+# "@name" stands for a file of the cli_files directory, "@" for the directory.
+CLI_FILES = {
+    "state-bell.json": json.dumps(ed.state_to_dict(bell_phi_plus())),
+    "state-w.json": json.dumps(ed.state_to_dict(ed.make_w())),
+    "state-not-utf8.json": b"\xff\xfe not utf-8",
+    "state-nested.json": "[" * 10**5 + "]" * 10**5,
+    "state-count-not-number.json": json.dumps({"n_qubits": "two", "amplitudes": [[1, 0]] * 4}),
+    "state-matrix-string.json": json.dumps({"n_qubits": 2, "matrix": "abc"}),
+    "state-list.json": "[1, 2]",
+    "state-non-hermitian.json": json.dumps(
+        {"n_qubits": 1, "matrix": [[[0.5, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]}
+    ),
+    **{
+        f"state-{kind}.json": json.dumps(
+            {"n_qubits": 2, "matrix": [[[z.real, z.imag] for z in row] for row in non_finite_matrix(kind)]}
+        )
+        for kind in NON_FINITE
+    },
+    "tree-xx.json": json.dumps(ed.tree_to_dict(ed.generate_tree(2, ("x", "x")))),
+    "tree-not-utf8.json": b"\xff\xfe not utf-8",
+    "tree-not-json.json": "not a tree {",
+    "tree-nested.json": '{"threshold": 0.5, "root": '
+    + '{"index": "zz", "small": null, "big": ' * 3000 + "null" + "}" * 3001,
+    "tree-node-without-index.json": '{"threshold": 0.5, "root": {"big": null, "small": null}}',
+    "tree-node-list.json": '{"threshold": 0.5, "root": {"index": "zz", "big": ["yy"], "small": null}}',
+    "tree-threshold-string.json": '{"threshold": "x", "root": {"index": "zz", "big": null, "small": null}}',
+}
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", str(2**63), str(2**64), "1e308", "", "zq", "z0y", "zzzzz")
+# The valid values of each option, kept small where they size the work.
+VALID_VALUES = {
+    "state": ("bell", "g", "werner:0.9", "werner:nan", "colored:0.3", "dicke:4:2", "dicke:4:9",
+              "@missing.json", *(f"@{name}" for name in CLI_FILES if name.startswith("state"))),
+    "tree": ("@missing.json", *(f"@{name}" for name in CLI_FILES if name.startswith("tree"))),
+    "mode": ("exact", "shots", "shots=100", "shots=1", "shots=x", f"shots={2**63 - 1}", f"shots={2**63}"),
+    "seed": ("3",), "frame_seed": ("3",), "threshold": ("0.3",), "error_multiplier": ("2.5",),
+    "root": ("zz", "xxx", "zzzz", "yx"), "filter_eps": ("0.5", "1", "5"),
+    "p_min": ("0.5",), "p_max": ("0.6",), "step": ("0.05", "1e-300"),
+    "repeats": ("2", "5"), "samples": ("1000", "2000"), "bins": ("3", "100001"),
+    "format": ("csv", "json"), "n": ("1", "2", "3", "5"), "max_depth": ("1", "3"),
+}
+OUT_VALUES = ("@out.json", "@", "")  # never a name in the working directory
+# Options every draw of a command carries, so that its default work size
+# (10^4 purity samples, 20 shot-mode repeats) never runs.
+ALWAYS = {"--samples", "--repeats"}
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name]
+    for action in COMMANDS[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings:
+            if action.option_strings[0] not in ALWAYS and not draw(st.booleans()):
+                continue
+            argv.append(action.option_strings[0])
+            if action.nargs == 0:
+                continue
+        valid = OUT_VALUES if action.dest == "out" else VALID_VALUES.get(action.dest, ())
+        # One value in four is an edge case; an option with no valid pool takes only those.
+        edge = action.dest != "out" and (not valid or draw(st.integers(0, 3)) == 0)
+        argv.append(draw(st.sampled_from(EDGE_VALUES if edge else valid)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-files")
+    for name, content in CLI_FILES.items():
+        (root / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    return root
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(argv=command_lines())
+# Inputs that once ended in a traceback, a hang or a silent exit 0.
+@example(argv=["sweep-werner", "--mode", "shots", "--repeats", "0"])
+@example(argv=["sweep-purity", "--bins", "0"])
+@example(argv=["sweep-purity", "--samples", "1000", "--bins", "1000000000"])
+@example(argv=["sweep-purity", "--samples", "4294967296"])
+@example(argv=["sweep-werner", "--mode", "shots", "--repeats", "100000000000"])
+@example(argv=["sweep-werner", "--step", "nan", "--repeats", "1"])
+@example(argv=["sweep-werner", "--p-min", "0.5", "--p-max", "0.6", "--step", "1e-300", "--repeats", "1"])
+@example(argv=["detect", "bell", "--mode", "shots", "--error-multiplier", "nan"])
+@example(argv=["detect", "bell", "--mode", "shots", "--error-multiplier", "-5"])
+@example(argv=["detect", "bell", "--mode", "shots=100000000000000000000"])
+@example(argv=["detect", "bell", "--seed", "-1"])
+@example(argv=["detect", "bell", "--frame-seed", "-1"])
+@example(argv=["tree-gen", "5", "zzzzz"])
+@example(argv=["tree-gen", "2", "zz", "--max-depth", "0"])
+@example(argv=["detect", "bell", "--tree", "@tree-node-without-index.json"])
+@example(argv=["detect", "bell", "--tree", "@tree-node-list.json"])
+@example(argv=["detect", "bell", "--tree", "@tree-not-json.json"])
+@example(argv=["detect", "bell", "--tree", "@tree-not-utf8.json"])
+@example(argv=["detect", "bell", "--tree", "@tree-threshold-string.json"])
+@example(argv=["detect", "bell", "--tree", "@tree-nested.json"])
+@example(argv=["detect", "@state-not-utf8.json"])
+@example(argv=["detect", "@state-nested.json"])
+@example(argv=["detect", "@state-count-not-number.json"])
+@example(argv=["detect", "@state-nan-diagonal.json"])
+@example(argv=["schmidt", "@state-inf-entry.json"])
+@example(argv=["schmidt", "colored:0.3", "--filter-eps", "5"])
+@example(argv=["schmidt", "colored:0.3", "--filter-eps", "nan"])
+@example(argv=["schmidt", "colored:0.3", "--filter-eps", "0"])
+@example(argv=["schmidt", "bell", "--threshold", "0.9"])
+@example(argv=["detect", "bell", "--tree", "@tree-xx.json", "--root", "xx"])
+def test_every_command_exits_0_2_or_3(cli_files, argv):
+    argv = [str(cli_files / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the line before any work
+            assert exc.code == 2 and "error:" in err.getvalue(), argv
+            return
+    assert code in (0, 2, 3), argv
+    if code:
+        assert err.getvalue().startswith("error:" if code == 2 else "numerical failure:"), argv

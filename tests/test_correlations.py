@@ -33,7 +33,8 @@ from entdetect import (
     schmidt_oracle,
 )
 from entdetect.config import TOL
-from entdetect.correlations import criterion_met, error_variance, full_positions, pauli_tensor, sample
+from entdetect.correlations import criterion_met, error_variance, full_positions, pauli_tensor
+from entdetect.correlations import sample, standard_error
 from entdetect.tree import anticommute
 
 
@@ -94,22 +95,24 @@ def test_sample_of_a_stack_matches_scalar_draws_bit_for_bit():
     exact = np.random.default_rng(4).uniform(-1.0, 1.0, (40, 9))
     exact[0, :3] = [1.0, -1.0, 0.0]
     for shots in (100, 4500):
-        values, stderrs = sample(exact, shots, np.random.default_rng(5))
+        values = sample(exact, shots, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         scalar = [sample(float(t), shots, rng) for t in exact.ravel()]
-        assert values.ravel().tolist() == [v for v, _ in scalar]
-        assert stderrs.ravel().tolist() == [s for _, s in scalar]
+        assert values.ravel().tolist() == scalar
+        stderrs = standard_error(values, shots)
+        assert stderrs.ravel().tolist() == [standard_error(v, shots) for v in scalar]
+        assert stderrs.ravel().tolist() == [math.sqrt((1 - v * v) / shots) for v in scalar]
+    assert standard_error(0.3, None) == 0.0 and standard_error(exact, None) == 0.0
 
 
 def test_scalar_and_array_squares_agree_bit_for_bit():
     # criterion_add and DetectionResult square floats, CompiledTree.walk
     # squares arrays; both multiply, so they agree in every bit.
     rng = np.random.default_rng(12)
-    values, stderrs = rng.uniform(-1.0, 1.0, 20000), rng.uniform(0.0, 0.1, 20000)
-    squares, variances = (values * values).tolist(), error_variance(values, stderrs).tolist()
-    records = [
-        CorrelationRecord(("z", "z"), v, s, 4500) for v, s in zip(values.tolist(), stderrs.tolist())
-    ]
+    values, shots = rng.uniform(-1.0, 1.0, 20000), 100
+    squares = (values * values).tolist()
+    variances = error_variance(values, standard_error(values, shots)).tolist()
+    records = [CorrelationRecord(("z", "z"), v, shots) for v in values.tolist()]
     assert [error_variance(r.value, r.stderr) for r in records] == variances
     folds = []
     for r in records:
@@ -184,8 +187,8 @@ def test_criterion_rejects_duplicates_and_locals():
 
 def test_criterion_shot_mode_error_subtraction():
     # sum slightly above 1 but within one propagated error: undecided
-    rec1 = CorrelationRecord(("z", "z"), 0.9, stderr=0.02, shots=4500)
-    rec2 = CorrelationRecord(("y", "y"), 0.45, stderr=0.02, shots=4500)
+    rec1 = CorrelationRecord(("z", "z"), 0.9, shots=4500)
+    rec2 = CorrelationRecord(("y", "y"), 0.45, shots=4500)
     state = CriterionState()
     criterion_add(state, rec1)
     assert not criterion_add(state, rec2, error_multiplier=1.0)
@@ -198,9 +201,15 @@ def test_criterion_shot_mode_error_subtraction():
 def test_record_invariant():
     from entdetect import DomainError
 
-    with pytest.raises(DomainError):
-        CorrelationRecord(("z", "z"), 1.2)
-    CorrelationRecord(("z", "z"), 1.05, stderr=0.02)  # allowed within 3 sigma
+    for value, shots in ((1.2, None), (1.05, 4500), (-1.0000001, 100), (math.nan, None), (0.5, 0)):
+        with pytest.raises(DomainError):
+            CorrelationRecord(("z", "z"), value, shots)
+    # the error is derived from the value and the shot count, never given
+    assert CorrelationRecord(("z", "z"), -1.0, 1).stderr == 0.0
+    assert CorrelationRecord(("z", "z"), 0.6, 100).stderr == math.sqrt(0.64 / 100)
+    assert CorrelationRecord(("z", "z"), 0.6).stderr == 0.0
+    with pytest.raises(TypeError):
+        CorrelationRecord(("z", "z"), 0.6, 100, 0.01)
 
 
 def test_full_tensor_product_state_boundary():
@@ -273,11 +282,9 @@ def test_correlation_complementarity():
 
 
 def test_propagated_error_formula():
-    recs = (
-        CorrelationRecord(("z", "z"), 0.8, stderr=0.01, shots=4500),
-        CorrelationRecord(("y", "y"), 0.0, stderr=0.015, shots=4500),
-    )
-    expect = math.sqrt(4 * (0.8 * 0.01) ** 2 + 2 * 0.01**4 + 2 * 0.015**4)
+    recs = (CorrelationRecord(("z", "z"), 0.8, shots=3600), CorrelationRecord(("y", "y"), 0.0, shots=4500))
+    s1, s2 = math.sqrt(0.36 / 3600), math.sqrt(1 / 4500)  # 0.01 and 0.0149
+    expect = math.sqrt(4 * (0.8 * s1) ** 2 + 2 * s1**4 + 2 * s2**4)
     assert abs(propagated_error(recs) - expect) < 1e-15
     assert propagated_error(recs) > 0.0
 

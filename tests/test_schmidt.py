@@ -13,7 +13,6 @@ from entdetect import (
     FilterOp,
     PAULIS,
     MeasurementSource,
-    ProtocolConfig,
     PureState,
     ZeroSuccess,
     apply_filter,
@@ -186,6 +185,13 @@ def test_filter_validation():
         FilterOp(1, 1.5)
     with pytest.raises(ZeroSuccess):
         apply_filter(ket("01").density(), FilterOp(1, 1e-7))
+    # The protocol checks its filter's strength before it runs, even when no
+    # filter fires (this state's Bloch vectors are long enough).
+    source = MeasurementSource(diag_state(0.5).density())
+    for eps in (5, math.nan, 0.0):
+        with pytest.raises(DomainError):
+            run_protocol(source, filter_eps=eps)
+    assert "filter" not in run_protocol(source).details
 
 
 def test_relative_phase_cases():
@@ -280,15 +286,11 @@ def test_protocol_transcript_structure():
 def test_protocol_phase_gated_mode():
     # phase near pi/2 makes T_y'y'' vanish; the gated variant needs the extra pair
     psi = diag_state(0.5, phase=math.pi / 2)
-    result = run_protocol(
-        MeasurementSource(psi.density()), ProtocolConfig(always_extra=False)
-    )
+    result = run_protocol(MeasurementSource(psi.density()), always_extra=False)
     assert result.detected
     assert ("x", "y") in [r.index for r in result.full_records]
     # with a plain phase the gated variant stops after two measurements
-    result2 = run_protocol(
-        MeasurementSource(diag_state(0.5).density()), ProtocolConfig(always_extra=False)
-    )
+    result2 = run_protocol(MeasurementSource(diag_state(0.5).density()), always_extra=False)
     assert result2.detected and result2.steps == 2
 
 
@@ -307,12 +309,12 @@ def test_protocol_oracle_frame_equivalence(monkeypatch, shots):
     psis = [random_pure(2, rng) for _ in range(8)] + [bell_phi_plus(), ket("01"), diag_state(0.5, math.pi / 2)]
     for k, psi in enumerate(psis):
         rho = apply_frame(psi, random_frame(2, rng)).density()
-        for config in (ProtocolConfig(), ProtocolConfig(always_extra=False)):
+        for always_extra in (True, False):
             results = []
             for frame in (schmidt_frame, oracle_frame):
                 monkeypatch.setattr(schmidt, "schmidt_frame", frame)
                 source = MeasurementSource(rho, shots, np.random.default_rng(k))
-                results.append(run_protocol(source, config))
+                results.append(run_protocol(source, always_extra=always_extra))
             closed, oracle = results
             assert (closed.verdict, closed.steps, closed.strategy) == (oracle.verdict, oracle.steps, oracle.strategy)
             assert list(closed.details) == list(oracle.details)

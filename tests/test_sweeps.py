@@ -66,7 +66,8 @@ STATE_SETS = {
 
 def _assert_walk_matches_run_tree(states, tree) -> list:
     walk = CompiledTree(tree).walk(
-        pauli_tensors(np.array([rho.matrix for rho in states]))[:, full_positions(tree.n_qubits)]
+        pauli_tensors(np.array([rho.matrix for rho in states]))[:, full_positions(tree.n_qubits)],
+        tree.threshold,
     )
     fulls = all_full_indices(tree.n_qubits)
     runs = [run_tree(MeasurementSource(rho), tree) for rho in states]
@@ -122,31 +123,31 @@ def test_check_density_runs_each_check_over_the_stack():
 
 class ReplaySource:
     """A two-qubit source that answers run_tree's queries with values drawn
-    beforehand, one value and standard error per full index."""
+    beforehand, one value per full index, each from shots outcomes."""
 
     n_qubits = 2
 
-    def __init__(self, values, stderrs, shots):
+    def __init__(self, values, shots):
         self.shots = shots
-        self._draws = dict(zip(all_full_indices(2), zip(values.tolist(), stderrs.tolist())))
+        self._draws = dict(zip(all_full_indices(2), values.tolist()))
 
     def measure_index(self, index):
-        return CorrelationRecord(index, *self._draws[tuple(index)], self.shots)
+        return CorrelationRecord(index, self._draws[tuple(index)], self.shots)
 
 
 @pytest.mark.parametrize("shots", [100, 500, 4500])
 def test_shot_walk_matches_run_tree_on_replayed_draws(shots):
     states = [s for name in sorted(STATE_SETS) for s in STATE_SETS[name]()[::3]]
     exact = pauli_tensors(np.array([rho.matrix for rho in states]))[:, full_positions(2)]
-    values, stderrs = sample(exact, shots, np.random.default_rng(shots))
+    values = sample(exact, shots, np.random.default_rng(shots))
     fulls = all_full_indices(2)
     seen = set()
     for threshold in (0.3, 0.5, 0.8):
         tree = default_tree_2q(threshold)
         for multiplier in (0.0, 1.0, 2.0):
-            walk = CompiledTree(tree).walk(values, stderrs, multiplier)
+            walk = CompiledTree(tree).walk(values, threshold, shots, multiplier)
             for k in range(len(states)):
-                source = ReplaySource(values[k], stderrs[k], shots)
+                source = ReplaySource(values[k], shots)
                 run = run_tree(source, tree, error_multiplier=multiplier)
                 walked = [fulls[j] for j in walk.sequence[k] if j >= 0]
                 assert walked == [r.index for r in run.records], (threshold, multiplier, k)
@@ -161,7 +162,7 @@ def test_every_engine_detects_werner_just_past_the_separable_bound():
     total, detected = brute_force_criterion(rho)
     assert abs(total - (1 + 1e-7)) < 1e-12 and detected
     assert run_tree(MeasurementSource(rho), default_tree_2q()).detected
-    walk = CompiledTree(default_tree_2q()).walk(pauli_tensors(rho.matrix)[None, full_positions(2)])
+    walk = CompiledTree(default_tree_2q()).walk(pauli_tensors(rho.matrix)[None, full_positions(2)], 0.5)
     assert walk.detected.tolist() == [True]
 
 
@@ -239,7 +240,7 @@ def test_purity_sweep_draws_the_per_sample_states_bit_for_bit(seed, monkeypatch)
 def test_sweeps_share_one_plan_and_set_only_the_threshold():
     sweeps.sweep_werner(np.linspace(0.0, 1.0, 11), sweeps.ExperimentConfig(threshold=0.8))
     cached = sweeps._default_plan_2q()
-    assert cached.threshold == 0.5
+    assert not hasattr(cached, "threshold")  # each sweep hands its threshold to walk
     fresh = CompiledTree(default_tree_2q(0.8))
     for name in ("full_id", "big", "small", "anti", "lex_rank"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name

@@ -398,7 +398,7 @@ def test_bloch_heuristic_spot():
         for party in range(3):
             b = bloch_vector(rho, party)
             dirs.append(b / np.linalg.norm(b))
-        t_bloch, _ = MeasurementSource(rho).measure_directions(dirs)
+        t_bloch = MeasurementSource(rho).measure_directions(dirs)
         if abs(t_bloch) >= 0.85 * ft.max_abs():
             ok += 1
     assert ok / n >= 0.75
