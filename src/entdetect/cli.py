@@ -190,12 +190,14 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         shots=parse_mode(args.mode),
         seed=args.seed,
-        threshold=getattr(args, "threshold", ExperimentConfig.threshold),  # schmidt has none
+        threshold=getattr(args, "threshold", ExperimentConfig.threshold),  # absent unless given; schmidt has none
         error_multiplier=args.error_multiplier,
     )
 
 
 def cmd_detect(args) -> int:
+    if args.tree and hasattr(args, "threshold"):
+        raise ParseError("a tree file carries its own threshold; --threshold cannot go with --tree")
     cfg = _config_from_args(args)
     state = _prepare_state(args)
     tree = None
@@ -276,7 +278,8 @@ def _add_common(parser, *, frame=True, threshold=True):
     parser.add_argument("--mode", default="exact", help="exact | shots | shots=N (default exact)")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     if threshold:
-        parser.add_argument("--threshold", type=float, default=0.5, help="big/small branching threshold")
+        parser.add_argument("--threshold", type=float, default=argparse.SUPPRESS,
+                            help="big/small branching threshold (default 0.5)")
     parser.add_argument(
         "--error-multiplier", type=float, default=1.0,
         help="standard errors subtracted before the detection verdict in shot mode",

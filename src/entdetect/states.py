@@ -94,8 +94,10 @@ def check_density(matrices: np.ndarray) -> None:
 
 @cache
 def _psd_shift(d: int) -> np.ndarray:
-    """TOL.psd times the d x d identity, built once per dimension."""
-    return TOL.psd * np.eye(d)
+    """TOL.psd times the d x d identity, built once per dimension (read-only)."""
+    shift = TOL.psd * np.eye(d)
+    shift.setflags(write=False)
+    return shift
 
 
 def _first(values: np.ndarray, bad: np.ndarray):

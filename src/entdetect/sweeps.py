@@ -35,12 +35,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .correlations import MAX_SHOTS, all_full_indices, criterion_met, error_variance
+from .correlations import MAX_SHOTS, criterion_met, error_variance
 from .correlations import full_positions, pauli_tensors, sample, standard_error
 from .errors import DomainError
 from .oracles import ppt_test
 from .states import check_density, make_werner, purities, unit_trace
-from .tree import DecisionTree, anticommutation_table, default_tree_2q
+from .tree import DecisionTree, default_tree_2q, index_tables
 
 MIN_SHOTS = 100
 # Rows drawn and validated together, and rows walked together: large enough
@@ -123,11 +123,9 @@ class CompiledTree:
     continues with node big[k] or small[k] (-1: none); the root is node 0."""
 
     def __init__(self, tree: DecisionTree):
-        n = self.n_qubits = tree.n_qubits
-        fulls = all_full_indices(n)
-        ids = {idx: k for k, idx in enumerate(fulls)}
-        self.anti = anticommutation_table(fulls)
-        self.lex_rank = np.argsort(np.argsort(np.array(["".join(idx) for idx in fulls])))
+        self.n_qubits = tree.n_qubits
+        tables = index_tables(tree.n_qubits)
+        ids, self.anti, self.lex_rank = tables.position, tables.anti, tables.lex_rank
         nodes = [tree.root]
         full_id, children = [], []
         for node in nodes:  # breadth first; nodes grows as children are found
@@ -140,6 +138,8 @@ class CompiledTree:
             children.append(pair)
         self.full_id = np.array(full_id)
         self.big, self.small = np.array(children).T
+        for table in (self.full_id, self.big, self.small):  # read-only, like the shared tables
+            table.setflags(write=False)
 
     def walk(
         self, values: np.ndarray, threshold: float, shots=None, error_multiplier: float = 1.0

@@ -19,10 +19,13 @@ Child selection among the allowed candidates is deterministic:
 
 A child depends only on its path, so a generated tree computes each child
 when it is first read: a run computes only the nodes it walks, a full
-traversal expands the whole plan. Indices are (x, z) bitmasks (Aaronson &
+traversal expands the whole plan; a node keeps its path and a boolean mask
+of the indices not yet on it. Indices are (x, z) bitmasks (Aaronson &
 Gottesman, PRA 70, 052328 (2004)): two indices anti-commute when
 popcount((x1 & z2) ^ (z1 & x2)) is odd, and their product, up to phase, is
-the XOR of the masks.
+the XOR of the masks. index_tables(n) turns these into read-only tables over
+the 3^n full indices, built once per process, so that choosing a child is a
+few array operations: mask the allowed candidates, take the argmin of the key.
 
 On tree exhaustion the run continues with a priority-ordered queue over the
 unmeasured indices (lowest spent trade-off budget first).
@@ -31,7 +34,7 @@ unmeasured indices (lowest spent trade-off budget first).
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
@@ -69,22 +72,39 @@ def _masks(index: Index) -> tuple[int, int]:
     return x, z
 
 
-def _anti(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Anti-commutation of two indices given as (x, z) bitmasks."""
-    return bool(((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1)
-
-
 def anticommute(a: Index, b: Index) -> bool:
     """True when the product operators anti-commute."""
     if len(a) != len(b):
         raise DimensionMismatch(f"index lengths differ: {len(a)} vs {len(b)}")
-    return _anti(_masks(tuple(a)), _masks(tuple(b)))
+    (xa, za), (xb, zb) = _masks(tuple(a)), _masks(tuple(b))
+    return bool(((xa & zb) ^ (za & xb)).bit_count() & 1)
 
 
-def anticommutation_table(indices: Sequence[Index]) -> np.ndarray:
-    """Boolean matrix: entry (i, j) is anticommute(indices[i], indices[j])."""
-    masks = [_masks(tuple(idx)) for idx in indices]
-    return np.array([[_anti(a, b) for b in masks] for a in masks])
+IndexTables = namedtuple("IndexTables", "fulls position anti product distance lex_rank")
+
+
+@cache
+def index_tables(n: int) -> IndexTables:
+    """Read-only tables over the 3^n full indices, built once: fulls (in
+    all_full_indices order), position (index -> place), and by place anti
+    (pairs that anti-commute), product (place of a commuting pair's product,
+    -1 if it is not full), distance[p, c] (cyclic, of c from p, as one
+    base-3 number) and lex_rank (in x < y < z order)."""
+    fulls = tuple(all_full_indices(n))
+    xs, zs = np.array([_masks(c) for c in fulls]).T
+    anti = np.bitwise_count((xs[:, None] & zs) ^ (zs[:, None] & xs)) & 1 == 1
+    px, pz = xs[:, None] ^ xs, zs[:, None] ^ zs
+    # Party q of a product reads z, y, x as (x, z) bits 01, 11, 10: digit x * (2 - z).
+    place = sum((px >> q & 1) * (2 - (pz >> q & 1)) * 3 ** (n - 1 - q) for q in range(n))
+    product = np.where(~anti & ((px | pz) == 2**n - 1), place, -1)
+    # A position's base-3 digits are the _AXIS_POS of its labels: the distance
+    # is their difference mod 3, and the lexicographic rank counts down.
+    digits = np.array([[_AXIS_POS[c] for c in idx] for idx in fulls])
+    distance = ((digits - digits[:, None]) % 3) @ 3 ** np.arange(n - 1, -1, -1)
+    lex_rank = np.arange(len(fulls) - 1, -1, -1)
+    for table in (anti, product, distance, lex_rank):
+        table.setflags(write=False)
+    return IndexTables(fulls, {c: k for k, c in enumerate(fulls)}, anti, product, distance, lex_rank)
 
 
 @dataclass
@@ -100,10 +120,10 @@ class _PlannedNode(TreeNode):
     """A node of a generated tree: each child is the best candidate after
     the node's path, computed the first time it is read and then kept."""
 
-    def __init__(self, index: Index, ancestors: list, remaining: frozenset, depth_left: int):
+    def __init__(self, index: Index, ancestors: list, remaining: np.ndarray, depth_left: int):
         self.index = index
         self._ancestors = ancestors  # (index, outcome_big) pairs above this node
-        self._remaining = remaining
+        self._remaining = remaining  # boolean mask over index_tables(n) positions
         self._depth_left = depth_left
 
     def _child(self, outcome_big: bool) -> Optional[TreeNode]:
@@ -113,7 +133,9 @@ class _PlannedNode(TreeNode):
         choice = _best_child(path, self._remaining)
         if choice is None:
             return None
-        return _PlannedNode(choice, path, self._remaining - {choice}, self._depth_left - 1)
+        remaining = self._remaining.copy()
+        remaining[choice] = False
+        return _PlannedNode(index_tables(len(self.index)).fulls[choice], path, remaining, self._depth_left - 1)
 
     @cached_property
     def big(self) -> Optional[TreeNode]:
@@ -138,43 +160,19 @@ class DecisionTree:
         return len(self.root.index)
 
 
-def _count_anti(mask: tuple[int, int], masks) -> int:
-    """How many of the given (x, z) bitmasks anti-commute with mask."""
-    x, z = mask
-    return sum(((x & mz) ^ (z & mx)).bit_count() & 1 for mx, mz in masks)
-
-
-@cache
-def _distance_from(parent: Index) -> dict[Index, int]:
-    """Cyclic letter distance (z -> y -> x) of every full index from parent,
-    position by position, read as one base-3 number so that it orders like
-    the tuple of per-position distances."""
-    distance = {}
-    for candidate in all_full_indices(len(parent)):
-        d = 0
-        for c, p in zip(candidate, parent):
-            d = 3 * d + (_AXIS_POS[c] - _AXIS_POS[p]) % 3
-        distance[candidate] = d
-    return distance
-
-
-def _candidate_key(candidate: Index, distance: dict, forced_small: Counter, small_masks):
-    mask = _masks(candidate)
-    return (forced_small[mask], _count_anti(mask, small_masks), distance[candidate])
-
-
-def _best_child(path, remaining) -> Optional[Index]:
-    big_masks = [_masks(idx) for idx, big in path if big]
-    small_masks = [_masks(idx) for idx, big in path if not big]
-    allowed = [c for c in remaining if not _count_anti(_masks(c), big_masks)]
-    if not allowed:
+def _best_child(path, remaining) -> Optional[int]:
+    """Position of the best candidate after path, among the remaining ones."""
+    t = index_tables(len(path[0][0]))
+    big = [t.position[idx] for idx, outcome_big in path if outcome_big]
+    small = [t.position[idx] for idx, outcome_big in path if not outcome_big]
+    allowed = remaining & ~t.anti[big].any(axis=0)
+    if not allowed.any():
         return None
     # How often each index is the product of a commuting (big, small) pair.
-    forced_small = Counter(
-        (a[0] ^ b[0], a[1] ^ b[1]) for a in big_masks for b in small_masks if not _anti(a, b)
-    )
-    distance = _distance_from(path[-1][0])
-    return min(allowed, key=lambda c: _candidate_key(c, distance, forced_small, small_masks))
+    forced = np.bincount(t.product[big][:, small].ravel() + 1, minlength=remaining.size + 1)[1:]
+    # The allowed candidate of least (forced, small anti count, distance).
+    distance = t.distance[t.position[path[-1][0]]]
+    return int(np.lexsort((distance, t.anti[small].sum(axis=0), forced, ~allowed))[0])
 
 
 def _plan(n: int, root: Index, threshold: float, max_depth: Optional[int]) -> DecisionTree:
@@ -189,7 +187,7 @@ def _plan(n: int, root: Index, threshold: float, max_depth: Optional[int]) -> De
         raise NonFullCorrelation("tree root must be a full correlation")
     if max_depth is None:
         max_depth = 3**n if n <= 2 else 8
-    remaining = frozenset(all_full_indices(n)) - {root}
+    remaining = np.array([c != root for c in index_tables(n).fulls])
     return DecisionTree(_PlannedNode(root, [], remaining, max_depth - 1), threshold)
 
 
@@ -219,21 +217,22 @@ def priority_order(
     The priority of an index is the sum of squared measured values over the
     measured correlations that anti-commute with it (at two qubits these are
     exactly the row and column partners). Lower priority values are measured
-    first; ties break lexicographically (x < y < z).
+    first; ties break lexicographically (x < y < z). The remaining indices
+    must be full; the measured ones need not be.
     """
-    measured = [(_masks(r.index), r.value * r.value) for r in measured]
-
-    def spent(idx: Index) -> float:
-        # Left to right in record order, as the batched sweep walker adds
-        # (sum() compensates its rounding from Python 3.12 on).
-        mask = _masks(idx)
-        total = 0.0
-        for m, v2 in measured:
-            if _anti(m, mask):
-                total += v2
-        return total
-
-    return sorted(remaining, key=lambda idx: (spent(idx), idx))
+    remaining = list(remaining)
+    if not remaining:
+        return []
+    t = index_tables(len(remaining[0]))
+    measured = list(measured)
+    rows = [t.anti[t.position[r.index]] if r.index in t.position
+            else [anticommute(r.index, c) for c in t.fulls] for r in measured]
+    squares = np.array([r.value * r.value for r in measured])[:, None]
+    # Down axis 0, numpy adds left to right in record order, as the batched
+    # sweep walker does (sum() compensates its rounding from Python 3.12 on).
+    spent = (np.array(rows, dtype=bool).reshape(-1, len(t.fulls)) * squares).sum(axis=0)
+    place = [t.position[idx] for idx in remaining]
+    return [remaining[k] for k in np.lexsort((t.lex_rank[place], spent[place]))]
 
 
 def run_tree(source, tree: DecisionTree, *, error_multiplier: float = 1.0) -> DetectionResult:
@@ -285,12 +284,7 @@ def starting_index_from_bloch(blochs: Sequence[np.ndarray]) -> tuple[Index, tupl
             raise DimensionMismatch("each Bloch vector must have 3 components")
         k = int(np.argmax(np.abs(b)))
         dominant.append("xyz"[k] if abs(b[k]) >= DOMINANCE_THRESHOLD else "z")
-    renamings = []
-    for axis in dominant:
-        shift = _RENAME_SHIFT[axis]
-        renamings.append(
-            {a: "zyx"[(_AXIS_POS[a] + shift) % 3] for a in "xyz"}
-        )
+    renamings = ({a: "zyx"[(_AXIS_POS[a] + _RENAME_SHIFT[axis]) % 3] for a in "xyz"} for axis in dominant)
     return tuple(dominant), tuple(renamings)
 
 

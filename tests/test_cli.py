@@ -312,6 +312,19 @@ def test_flags_no_run_reads_are_refused(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, argv
 
 
+def test_detect_refuses_a_threshold_beside_a_tree_file(tmp_path, capsys):
+    # A tree file carries its own threshold, which the run uses; a --threshold
+    # beside it would be dropped without a word.
+    tree_path = tmp_path / "t.json"
+    assert main(["tree-gen", "2", "xx", "--out", str(tree_path)]) == 0
+    for threshold in ("0.5", "0.99"):
+        capsys.readouterr()
+        assert main(["detect", "werner:0.7", "--tree", str(tree_path), "--threshold", threshold]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["detect", "werner:0.7", "--tree", str(tree_path)]) == 0
+    assert main(["detect", "werner:0.7", "--root", "xx", "--threshold", "0.99"]) == 0
+
+
 def test_shot_mode_detect_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["detect", "werner:0.9", "--mode", "shots", "--seed", "21"]
@@ -555,6 +568,7 @@ def cli_files(tmp_path_factory):
 @example(argv=["schmidt", "colored:0.3", "--filter-eps", "0"])
 @example(argv=["schmidt", "bell", "--threshold", "0.9"])
 @example(argv=["detect", "bell", "--tree", "@tree-xx.json", "--root", "xx"])
+@example(argv=["detect", "bell", "--tree", "@tree-xx.json", "--threshold", "0.3"])
 def test_every_command_exits_0_2_or_3(cli_files, argv):
     argv = [str(cli_files / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()

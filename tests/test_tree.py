@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entdetect import tree as tree_module
+from entdetect.correlations import _pauli_rows
+from entdetect.states import _psd_shift
+from entdetect.sweeps import _default_plan_2q
 from entdetect import (
     CorrelationRecord,
     DecisionTree,
@@ -81,7 +85,7 @@ def test_anticommute_matches_matrix_oracle():
 def test_anticommutation_table_matches_anticommute():
     for n in (2, 3):
         indices = all_full_indices(n)
-        table = tree_module.anticommutation_table(indices)
+        table = tree_module.index_tables(n).anti
         assert table.tolist() == [[anticommute(a, b) for b in indices] for a in indices]
 
 
@@ -92,6 +96,33 @@ def _xor_product(a, b):
     (xa, za), (xb, zb) = tree_module._masks(a), tree_module._masks(b)
     x, z = xa ^ xb, za ^ zb
     return tuple(_LABEL_OF_BITS[(x >> q & 1, z >> q & 1)] for q in range(len(a)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_index_tables_match_their_definitions(n):
+    t = tree_module.index_tables(n)
+    indices = all_full_indices(n)
+    assert list(t.fulls) == indices
+    assert all(t.position[idx] == k for k, idx in enumerate(indices))
+    lex = sorted(indices)
+    assert t.lex_rank.tolist() == [lex.index(idx) for idx in indices]
+    for i, a in enumerate(indices):
+        for j, b in enumerate(indices):
+            product = _xor_product(a, b)
+            full = not anticommute(a, b) and "0" not in product
+            assert t.product[i, j] == (indices.index(product) if full else -1)
+            distance = [(_AXIS_POS[c] - _AXIS_POS[p]) % 3 for c, p in zip(b, a)]
+            assert t.distance[i, j] == int("".join(map(str, distance)), 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shared_tables_are_read_only(n):
+    t = tree_module.index_tables(n)
+    plan = _default_plan_2q()  # the sweeps' cached plan
+    shared = (t.anti, t.product, t.distance, t.lex_rank, _pauli_rows(n), _psd_shift(2**n))
+    for table in shared + (plan.full_id, plan.big, plan.small):
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = table[(0,) * table.ndim]
 
 
 def _check_against_matrices(a, b):
@@ -184,6 +215,96 @@ _TREE_DIGESTS = {
 def test_generated_tree_json_pinned(n, root):
     text = json.dumps(tree_to_dict(generate_tree(n, tuple(root))))
     assert hashlib.sha256(text.encode()).hexdigest() == _TREE_DIGESTS[(n, root)]
+
+
+# Reference implementations of the child rule and the priority queue, one
+# candidate at a time on (x, z) bitmasks, as the generator ran before its
+# index tables.
+_AXIS_POS = {"z": 0, "y": 1, "x": 2}
+
+
+def _mask_anti(a, b):
+    return bool(((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1)
+
+
+def _count_anti(mask, masks):
+    return sum(_mask_anti(mask, m) for m in masks)
+
+
+def _distance_from(parent):
+    distance = {}
+    for candidate in all_full_indices(len(parent)):
+        d = 0
+        for c, p in zip(candidate, parent):
+            d = 3 * d + (_AXIS_POS[c] - _AXIS_POS[p]) % 3
+        distance[candidate] = d
+    return distance
+
+
+def _oracle_child(path, remaining):
+    masks = tree_module._masks
+    big_masks = [masks(idx) for idx, big in path if big]
+    small_masks = [masks(idx) for idx, big in path if not big]
+    allowed = [c for c in remaining if not _count_anti(masks(c), big_masks)]
+    if not allowed:
+        return None
+    forced_small = Counter(
+        (a[0] ^ b[0], a[1] ^ b[1]) for a in big_masks for b in small_masks if not _mask_anti(a, b)
+    )
+    distance = _distance_from(path[-1][0])
+    return min(
+        allowed,
+        key=lambda c: (forced_small[masks(c)], _count_anti(masks(c), small_masks), distance[c]),
+    )
+
+
+def _oracle_priority_order(measured, remaining):
+    measured = [(tree_module._masks(r.index), r.value * r.value) for r in measured]
+
+    def spent(idx):
+        total = 0.0
+        for m, v2 in measured:
+            if _mask_anti(m, tree_module._masks(idx)):
+                total += v2
+        return total
+
+    return sorted(remaining, key=lambda idx: (spent(idx), idx))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_child_rule_matches_oracle(data):
+    # One path per example, its outcome bits drawn: to the default depth, which
+    # is the full 3^n at two qubits.
+    n = data.draw(st.integers(2, 4), label="n")
+    root = data.draw(st.tuples(*[st.sampled_from("zyx")] * n), label="root")
+    depth = 3**n if n <= 2 else 8
+    node, path = generate_tree(n, root).root, []
+    remaining = frozenset(all_full_indices(n)) - {root}
+    while node is not None:
+        path = path + [(node.index, data.draw(st.booleans()))]
+        child = node.big if path[-1][1] else node.small
+        expected = _oracle_child(path, remaining) if len(path) < depth else None
+        assert (child and child.index) == expected, path
+        remaining -= {expected}
+        node = child
+
+
+_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 0.1]) | st.floats(-1.0, 1.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_priority_order_matches_oracle(data):
+    # Records with tied values and, some of them, identity labels; the
+    # remaining indices are a shuffled share of the full ones.
+    n = data.draw(st.integers(1, 4), label="n")
+    labels = st.sampled_from("0xyz" if data.draw(st.booleans()) else "xyz")
+    records = st.lists(st.tuples(st.tuples(*[labels] * n), _VALUES), max_size=12, unique_by=lambda r: r[0])
+    measured = [CorrelationRecord(idx, value) for idx, value in data.draw(records, label="measured")]
+    fulls = data.draw(st.permutations(all_full_indices(n)))
+    remaining = fulls[: data.draw(st.integers(0, len(fulls)), label="count")]
+    assert priority_order(measured, remaining) == _oracle_priority_order(measured, remaining)
 
 
 def test_bloch_start_computes_only_the_walked_path(monkeypatch):
