@@ -20,6 +20,7 @@ its records.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
@@ -129,6 +130,16 @@ def _sqrt(x):
 MAX_SHOTS = 2**63 - 1
 
 
+def check_shots(shots, least: int = 1) -> None:
+    """Raise DomainError unless shots is an integer from least to MAX_SHOTS."""
+    try:
+        in_range = least <= operator.index(shots) <= MAX_SHOTS
+    except TypeError:
+        in_range = False
+    if not in_range:
+        raise DomainError(f"shots must be an integer in [{least}, 2^63 - 1], got {shots!r}")
+
+
 def sample(t, shots: int, rng: np.random.Generator):
     """Binomial finite-statistics model of a correlation with exact value t,
     or of each exact value of an array t, drawn in C order.
@@ -208,6 +219,14 @@ def criterion_met(running_sum, variance, error_multiplier, n_qubits: int):
     times its standard error sqrt(variance), above 1 + TOL.criterion(n_qubits).
     Accepts floats or arrays; at variance 0 the margin is the sum, bit for bit."""
     return running_sum - error_multiplier * _sqrt(variance) > _DETECTION_BOUNDS[n_qubits]
+
+
+def check_error_multiplier(error_multiplier) -> None:
+    """Raise DomainError unless error_multiplier is finite and >= 0: a
+    negative one adds to the sum, and an infinite one turns an exact run's
+    0 * inf margin into NaN."""
+    if not 0.0 <= error_multiplier < math.inf:
+        raise DomainError(f"error multiplier must be finite and >= 0, got {error_multiplier}")
 
 
 @dataclass

@@ -38,6 +38,7 @@ from .correlations import (
     CorrelationRecord,
     CriterionState,
     DetectionResult,
+    check_error_multiplier,
     criterion_add,
 )
 from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatch
@@ -141,6 +142,7 @@ def run_protocol(
     if source.n_qubits != 2:
         raise DimensionMismatch("the protocol runs on two-qubit sources")
     filter_op = FilterOp(FILTER_PARTY, filter_eps)
+    check_error_multiplier(error_multiplier)
     details = {"mode": "always-extra" if always_extra else "phase-gated"}
 
     transcript, (bloch_a, bloch_b), (err_a, err_b) = measure_bloch(source)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .correlations import MAX_SHOTS, CorrelationRecord, Index, lookup, pauli_tensor, sample
+from .correlations import CorrelationRecord, Index, check_shots, lookup, pauli_tensor, sample
 from .errors import DimensionMismatch, DomainError
 from .linalg import AXES
 from .states import DensityMatrix, FilterOp, apply_filter
@@ -35,8 +35,8 @@ class MeasurementSource:
     """Exact or shot-noise access to the correlations of a hidden state."""
 
     def __init__(self, state: DensityMatrix, shots: Optional[int] = None, rng=None):
-        if shots is not None and not 1 <= shots <= MAX_SHOTS:
-            raise DomainError(f"shots must be in [1, 2^63), got {shots}")
+        if shots is not None:
+            check_shots(shots)
         self._state = state
         self._tensor = pauli_tensor(state)
         self.shots = shots

@@ -1,5 +1,6 @@
 """Parameter sweeps: detection across the Werner family, and across the
-Ginibre ensemble binned by purity.
+Ginibre ensemble binned by purity. This module draws, checks, batches and
+tallies; the walk is tree.CompiledTree's.
 
 Both sweeps draw and check their states on stacks of at most CHUNK
 states, and take the exact full correlations of a stack from its Pauli
@@ -8,11 +9,9 @@ WALK_ROWS rows; in shot mode a batch first draws every value of every row
 at once through the one binomial model, correlations.sample. A run
 measures each index at most once, and each draw is an independent
 binomial given the state, so drawing all 3^n values up front gives every
-run the distribution of run_tree's lazy draws. CompiledTree.walk then
-takes every row of the batch through the decision tree and the priority
-queue at once, with the tree expanded into arrays once per process and the
-run's threshold and shot count passed to each walk, and detects by
-criterion_met, the rule of run_tree's criterion_add.
+run the distribution of run_tree's lazy draws. Every batch is walked
+through the default two-qubit tree, compiled once per process
+(tree._default_plan_2q), at the sweep's threshold and shot count.
 
 Seeding: the purity sweep draws sample i from the i-th generator spawned
 from SeedSequence(seed), so both modes draw the same states. The seed
@@ -27,20 +26,17 @@ on neither CHUNK nor WALK_ROWS.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
-from functools import cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .correlations import MAX_SHOTS, criterion_met, error_variance
-from .correlations import full_positions, pauli_tensors, sample, standard_error
+from .correlations import check_error_multiplier, check_shots, full_positions, pauli_tensors, sample
 from .errors import DomainError
 from .oracles import ppt_test
 from .states import check_density, make_werner, purities, unit_trace
-from .tree import DecisionTree, default_tree_2q, index_tables
+from .tree import _default_plan_2q
 
 MIN_SHOTS = 100
 # Rows drawn and validated together, and rows walked together: large enough
@@ -65,14 +61,13 @@ class ExperimentConfig:
     error_multiplier: float = 1.0
 
     def __post_init__(self):
-        if self.shots is not None and not MIN_SHOTS <= self.shots <= MAX_SHOTS:
-            raise DomainError(f"shot mode takes {MIN_SHOTS} to 2^63 - 1 shots, got {self.shots}")
+        if self.shots is not None:
+            check_shots(self.shots, MIN_SHOTS)
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.threshold < 1.0:
             raise DomainError(f"threshold must be in (0, 1), got {self.threshold}")
-        if not 0.0 <= self.error_multiplier < math.inf:
-            raise DomainError(f"error multiplier must be finite and >= 0, got {self.error_multiplier}")
+        check_error_multiplier(self.error_multiplier)
 
 
 @dataclass
@@ -105,107 +100,6 @@ class SweepResult:
 
     def to_json(self) -> str:
         return json.dumps([asdict(r) for r in self.rows])
-
-
-class Walk(NamedTuple):
-    """Outcome of CompiledTree.walk for each row: the verdict, the number of
-    criterion steps, and the measured full indices in order, as positions in
-    all_full_indices(n) padded with -1."""
-
-    detected: np.ndarray
-    steps: np.ndarray
-    sequence: np.ndarray
-
-
-class CompiledTree:
-    """A decision tree expanded once into arrays, to walk a stack of rows
-    through it (walk). Node k measures the full index full_id[k] and
-    continues with node big[k] or small[k] (-1: none); the root is node 0."""
-
-    def __init__(self, tree: DecisionTree):
-        self.n_qubits = tree.n_qubits
-        tables = index_tables(tree.n_qubits)
-        ids, self.anti, self.lex_rank = tables.position, tables.anti, tables.lex_rank
-        nodes = [tree.root]
-        full_id, children = [], []
-        for node in nodes:  # breadth first; nodes grows as children are found
-            full_id.append(ids[tuple(node.index)])
-            pair = []
-            for child in (node.big, node.small):
-                pair.append(-1 if child is None else len(nodes))
-                if child is not None:
-                    nodes.append(child)
-            children.append(pair)
-        self.full_id = np.array(full_id)
-        self.big, self.small = np.array(children).T
-        for table in (self.full_id, self.big, self.small):  # read-only, like the shared tables
-            table.setflags(write=False)
-
-    def walk(
-        self, values: np.ndarray, threshold: float, shots=None, error_multiplier: float = 1.0
-    ) -> Walk:
-        """run_tree for a stack of rows at once, branching at threshold.
-
-        values is a (N, 3^n) stack of the values each row's source would
-        return for all_full_indices(n), each estimated from shots outcomes
-        (None in exact mode). Each row takes the path run_tree would take,
-        adding v^2 and its error variance in the same order and stopping at
-        detection by criterion_met; a row that leaves the tree undetected
-        continues through priority_order's queue: unmeasured indices by their
-        spent budget, summed record by record in record order, ties broken
-        by the index.
-        """
-        squares = values * values
-        terms = error_variance(values, standard_error(values, shots))
-        count, n_full = values.shape
-        total = np.zeros(count)
-        variance = np.zeros(count)
-        steps = np.zeros(count, dtype=int)
-        detected = np.zeros(count, dtype=bool)
-        sequence = np.full((count, n_full), -1)
-        rows = np.arange(count)
-
-        def measure(live, full):
-            total[live] += squares[live, full]
-            variance[live] += terms[live, full]
-            sequence[live, steps[live]] = full
-            steps[live] += 1
-            hit = criterion_met(total[live], variance[live], error_multiplier, self.n_qubits)
-            detected[live[hit]] = True
-            return hit
-
-        live, node = rows, np.zeros(count, dtype=int)
-        while live.size:
-            full = self.full_id[node]
-            hit = measure(live, full)
-            big = np.abs(values[live, full]) >= threshold
-            node = np.where(big, self.big[node], self.small[node])
-            keep = ~hit & (node >= 0) & (steps[live] < n_full)
-            live, node = live[keep], node[keep]
-
-        live = rows[~detected & (steps < n_full)]
-        spent = np.zeros((live.size, n_full))
-        for k in range(n_full):
-            full = sequence[live, k]
-            anti = self.anti[full] & (full >= 0)[:, None]
-            spent += np.where(anti, squares[live, full][:, None], 0.0)
-        # The padding -1 marks the spare last column.
-        measured = np.zeros((live.size, n_full + 1), dtype=bool)
-        measured[np.arange(live.size)[:, None], sequence[live]] = True
-        spent[measured[:, :n_full]] = np.inf
-        queue = np.lexsort((np.broadcast_to(self.lex_rank, spent.shape), spent))
-        unmeasured = n_full - steps[live]
-        for j in range(n_full):
-            go = (j < unmeasured) & ~detected[live]
-            measure(live[go], queue[go, j])
-        return Walk(detected, steps, sequence)
-
-
-@cache
-def _default_plan_2q() -> CompiledTree:
-    """default_tree_2q compiled once per process. Its nodes do not depend
-    on the threshold, which each sweep hands to walk."""
-    return CompiledTree(default_tree_2q())
 
 
 def _batches(chunks):

@@ -1,4 +1,4 @@
-"""Adaptive decision-tree measurement plans built from anti-commutation structure.
+"""Adaptive decision-tree measurement plans and the walks that run them.
 
 A tree node holds one full correlation index; after a "big" outcome
 (|value| >= threshold) the walk continues along the big branch, otherwise
@@ -19,8 +19,8 @@ Child selection among the allowed candidates is deterministic:
 
 A child depends only on its path, so a generated tree computes each child
 when it is first read: a run computes only the nodes it walks, a full
-traversal expands the whole plan; a node keeps its path and a boolean mask
-of the indices not yet on it. Indices are (x, z) bitmasks (Aaronson &
+traversal expands the whole plan; a node keeps only its path, whose indices
+are the candidates it rules out. Indices are (x, z) bitmasks (Aaronson &
 Gottesman, PRA 70, 052328 (2004)): two indices anti-commute when
 popcount((x1 & z2) ^ (z1 & x2)) is odd, and their product, up to phase, is
 the XOR of the masks. index_tables(n) turns these into read-only tables over
@@ -28,7 +28,8 @@ the 3^n full indices, built once per process, so that choosing a child is a
 few array operations: mask the allowed candidates, take the argmin of the key.
 
 On tree exhaustion the run continues with a priority-ordered queue over the
-unmeasured indices (lowest spent trade-off budget first).
+unmeasured indices (lowest spent trade-off budget first). run_tree walks
+one run; CompiledTree.walk takes a stack of rows through the same rules.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,10 +49,14 @@ from .correlations import (
     DetectionResult,
     Index,
     all_full_indices,
+    check_error_multiplier,
     criterion_add,
+    criterion_met,
+    error_variance,
     format_index,
     is_full,
     parse_index,
+    standard_error,
 )
 from .errors import DimensionMismatch, DomainError, NonFullCorrelation
 from .sources import measure_bloch
@@ -80,7 +85,7 @@ def anticommute(a: Index, b: Index) -> bool:
     return bool(((xa & zb) ^ (za & xb)).bit_count() & 1)
 
 
-IndexTables = namedtuple("IndexTables", "fulls position anti product distance lex_rank")
+IndexTables = namedtuple("IndexTables", "fulls position anti product distance")
 
 
 @cache
@@ -88,8 +93,8 @@ def index_tables(n: int) -> IndexTables:
     """Read-only tables over the 3^n full indices, built once: fulls (in
     all_full_indices order), position (index -> place), and by place anti
     (pairs that anti-commute), product (place of a commuting pair's product,
-    -1 if it is not full), distance[p, c] (cyclic, of c from p, as one
-    base-3 number) and lex_rank (in x < y < z order)."""
+    -1 if it is not full) and distance[p, c] (cyclic, of c from p, as one
+    base-3 number). Lexicographic (x < y < z) order is descending place."""
     fulls = tuple(all_full_indices(n))
     xs, zs = np.array([_masks(c) for c in fulls]).T
     anti = np.bitwise_count((xs[:, None] & zs) ^ (zs[:, None] & xs)) & 1 == 1
@@ -98,13 +103,12 @@ def index_tables(n: int) -> IndexTables:
     place = sum((px >> q & 1) * (2 - (pz >> q & 1)) * 3 ** (n - 1 - q) for q in range(n))
     product = np.where(~anti & ((px | pz) == 2**n - 1), place, -1)
     # A position's base-3 digits are the _AXIS_POS of its labels: the distance
-    # is their difference mod 3, and the lexicographic rank counts down.
+    # is their difference mod 3.
     digits = np.array([[_AXIS_POS[c] for c in idx] for idx in fulls])
     distance = ((digits - digits[:, None]) % 3) @ 3 ** np.arange(n - 1, -1, -1)
-    lex_rank = np.arange(len(fulls) - 1, -1, -1)
-    for table in (anti, product, distance, lex_rank):
+    for table in (anti, product, distance):
         table.setflags(write=False)
-    return IndexTables(fulls, {c: k for k, c in enumerate(fulls)}, anti, product, distance, lex_rank)
+    return IndexTables(fulls, {c: k for k, c in enumerate(fulls)}, anti, product, distance)
 
 
 @dataclass
@@ -120,22 +124,19 @@ class _PlannedNode(TreeNode):
     """A node of a generated tree: each child is the best candidate after
     the node's path, computed the first time it is read and then kept."""
 
-    def __init__(self, index: Index, ancestors: list, remaining: np.ndarray, depth_left: int):
+    def __init__(self, index: Index, ancestors: list, depth_left: int):
         self.index = index
         self._ancestors = ancestors  # (index, outcome_big) pairs above this node
-        self._remaining = remaining  # boolean mask over index_tables(n) positions
         self._depth_left = depth_left
 
     def _child(self, outcome_big: bool) -> Optional[TreeNode]:
         if self._depth_left <= 0:
             return None
         path = self._ancestors + [(self.index, outcome_big)]
-        choice = _best_child(path, self._remaining)
+        choice = _best_child(path)
         if choice is None:
             return None
-        remaining = self._remaining.copy()
-        remaining[choice] = False
-        return _PlannedNode(index_tables(len(self.index)).fulls[choice], path, remaining, self._depth_left - 1)
+        return _PlannedNode(index_tables(len(self.index)).fulls[choice], path, self._depth_left - 1)
 
     @cached_property
     def big(self) -> Optional[TreeNode]:
@@ -160,16 +161,17 @@ class DecisionTree:
         return len(self.root.index)
 
 
-def _best_child(path, remaining) -> Optional[int]:
-    """Position of the best candidate after path, among the remaining ones."""
+def _best_child(path) -> Optional[int]:
+    """Position of the best candidate after path, among the indices not on it."""
     t = index_tables(len(path[0][0]))
     big = [t.position[idx] for idx, outcome_big in path if outcome_big]
     small = [t.position[idx] for idx, outcome_big in path if not outcome_big]
-    allowed = remaining & ~t.anti[big].any(axis=0)
+    allowed = ~t.anti[big].any(axis=0)
+    allowed[big + small] = False
     if not allowed.any():
         return None
     # How often each index is the product of a commuting (big, small) pair.
-    forced = np.bincount(t.product[big][:, small].ravel() + 1, minlength=remaining.size + 1)[1:]
+    forced = np.bincount(t.product[big][:, small].ravel() + 1, minlength=allowed.size + 1)[1:]
     # The allowed candidate of least (forced, small anti count, distance).
     distance = t.distance[t.position[path[-1][0]]]
     return int(np.lexsort((distance, t.anti[small].sum(axis=0), forced, ~allowed))[0])
@@ -187,8 +189,7 @@ def _plan(n: int, root: Index, threshold: float, max_depth: Optional[int]) -> De
         raise NonFullCorrelation("tree root must be a full correlation")
     if max_depth is None:
         max_depth = 3**n if n <= 2 else 8
-    remaining = np.array([c != root for c in index_tables(n).fulls])
-    return DecisionTree(_PlannedNode(root, [], remaining, max_depth - 1), threshold)
+    return DecisionTree(_PlannedNode(root, [], max_depth - 1), threshold)
 
 
 def generate_tree(
@@ -217,22 +218,21 @@ def priority_order(
     The priority of an index is the sum of squared measured values over the
     measured correlations that anti-commute with it (at two qubits these are
     exactly the row and column partners). Lower priority values are measured
-    first; ties break lexicographically (x < y < z). The remaining indices
-    must be full; the measured ones need not be.
+    first; ties break lexicographically (x < y < z). Every index, measured
+    or remaining, must be full.
     """
     remaining = list(remaining)
     if not remaining:
         return []
     t = index_tables(len(remaining[0]))
     measured = list(measured)
-    rows = [t.anti[t.position[r.index]] if r.index in t.position
-            else [anticommute(r.index, c) for c in t.fulls] for r in measured]
+    anti = t.anti[[t.position[r.index] for r in measured]]
     squares = np.array([r.value * r.value for r in measured])[:, None]
-    # Down axis 0, numpy adds left to right in record order, as the batched
-    # sweep walker does (sum() compensates its rounding from Python 3.12 on).
-    spent = (np.array(rows, dtype=bool).reshape(-1, len(t.fulls)) * squares).sum(axis=0)
+    # Down axis 0, numpy adds left to right in record order, as
+    # CompiledTree.walk does (sum() compensates its rounding from Python 3.12 on).
+    spent = (anti * squares).sum(axis=0)
     place = [t.position[idx] for idx in remaining]
-    return [remaining[k] for k in np.lexsort((t.lex_rank[place], spent[place]))]
+    return [remaining[k] for k in np.lexsort((np.negative(place), spent[place]))]
 
 
 def run_tree(source, tree: DecisionTree, *, error_multiplier: float = 1.0) -> DetectionResult:
@@ -248,6 +248,7 @@ def run_tree(source, tree: DecisionTree, *, error_multiplier: float = 1.0) -> De
         raise DimensionMismatch(
             f"source has {source.n_qubits} qubits, tree expects {tree.n_qubits}"
         )
+    check_error_multiplier(error_multiplier)
     crit, records = CriterionState(), []
 
     def detects(index: Index) -> bool:
@@ -262,6 +263,108 @@ def run_tree(source, tree: DecisionTree, *, error_multiplier: float = 1.0) -> De
     queue = priority_order(records, [i for i in all_full_indices(tree.n_qubits) if i not in crit.measured])
     detected = any(detects(index) for index in queue)  # stops at the first detection
     return DetectionResult(tuple(records), detected, "tree+priority" if queue else "tree")
+
+
+class Walk(NamedTuple):
+    """Outcome of CompiledTree.walk for each row: the verdict, the number of
+    criterion steps, and the measured full indices in order, as positions in
+    all_full_indices(n) padded with -1."""
+
+    detected: np.ndarray
+    steps: np.ndarray
+    sequence: np.ndarray
+
+
+class CompiledTree:
+    """A decision tree expanded once into arrays, to walk a stack of rows
+    through it (walk). Node k measures the full index full_id[k] and
+    continues with node big[k] or small[k] (-1: none); the root is node 0."""
+
+    def __init__(self, tree: DecisionTree):
+        self.n_qubits = tree.n_qubits
+        tables = index_tables(tree.n_qubits)
+        ids, self.anti = tables.position, tables.anti
+        nodes = [tree.root]
+        full_id, children = [], []
+        for node in nodes:  # breadth first; nodes grows as children are found
+            full_id.append(ids[tuple(node.index)])
+            pair = []
+            for child in (node.big, node.small):
+                pair.append(-1 if child is None else len(nodes))
+                if child is not None:
+                    nodes.append(child)
+            children.append(pair)
+        self.full_id = np.array(full_id)
+        self.big, self.small = np.array(children).T
+        for table in (self.full_id, self.big, self.small):  # read-only, like the shared tables
+            table.setflags(write=False)
+
+    def walk(
+        self, values: np.ndarray, threshold: float, shots=None, error_multiplier: float = 1.0
+    ) -> Walk:
+        """run_tree for a stack of rows at once, branching at threshold.
+
+        values is a (N, 3^n) stack of the values each row's source would
+        return for all_full_indices(n), each estimated from shots outcomes
+        (None in exact mode). Each row takes the path run_tree would take,
+        adding v^2 and its error variance in the same order and stopping at
+        detection by criterion_met; a row that leaves the tree undetected
+        continues through priority_order's queue: unmeasured indices by their
+        spent budget, summed record by record in record order, ties broken
+        by the index. error_multiplier is checked before any row is walked.
+        """
+        check_error_multiplier(error_multiplier)
+        squares = values * values
+        terms = error_variance(values, standard_error(values, shots))
+        count, n_full = values.shape
+        total = np.zeros(count)
+        variance = np.zeros(count)
+        steps = np.zeros(count, dtype=int)
+        detected = np.zeros(count, dtype=bool)
+        sequence = np.full((count, n_full), -1)
+        rows = np.arange(count)
+
+        def measure(live, full):
+            total[live] += squares[live, full]
+            variance[live] += terms[live, full]
+            sequence[live, steps[live]] = full
+            steps[live] += 1
+            hit = criterion_met(total[live], variance[live], error_multiplier, self.n_qubits)
+            detected[live[hit]] = True
+            return hit
+
+        live, node = rows, np.zeros(count, dtype=int)
+        while live.size:
+            full = self.full_id[node]
+            hit = measure(live, full)
+            big = np.abs(values[live, full]) >= threshold
+            node = np.where(big, self.big[node], self.small[node])
+            keep = ~hit & (node >= 0) & (steps[live] < n_full)
+            live, node = live[keep], node[keep]
+
+        live = rows[~detected & (steps < n_full)]
+        spent = np.zeros((live.size, n_full))
+        for k in range(n_full):
+            full = sequence[live, k]
+            anti = self.anti[full] & (full >= 0)[:, None]
+            spent += np.where(anti, squares[live, full][:, None], 0.0)
+        # The padding -1 marks the spare last column.
+        measured = np.zeros((live.size, n_full + 1), dtype=bool)
+        measured[np.arange(live.size)[:, None], sequence[live]] = True
+        spent[measured[:, :n_full]] = np.inf
+        queue = np.lexsort((np.broadcast_to(-np.arange(n_full), spent.shape), spent))
+        unmeasured = n_full - steps[live]
+        for j in range(n_full):
+            go = (j < unmeasured) & ~detected[live]
+            measure(live[go], queue[go, j])
+        return Walk(detected, steps, sequence)
+
+
+@cache
+def _default_plan_2q() -> CompiledTree:
+    """default_tree_2q compiled once per process. Its nodes do not depend
+    on the threshold, which each sweep hands to walk."""
+    return CompiledTree(default_tree_2q())
 
 
 _RENAME_SHIFT = {"x": 0, "z": 1, "y": 2}
@@ -294,6 +397,7 @@ def run_with_bloch_start(
     """Measure the local Bloch vectors, root a tree of the default depth at
     the suggested index, and run it. The 3n local measurements appear in the
     transcript but do not count as criterion steps."""
+    check_error_multiplier(error_multiplier)
     local_records, blochs, _ = measure_bloch(source)
     root, renamings = starting_index_from_bloch(blochs)
     tree = _plan(source.n_qubits, root, threshold, None)
@@ -329,22 +433,25 @@ def iter_paths(tree: DecisionTree):
 
 def validate_tree(tree: DecisionTree) -> None:
     """Check the path invariants: no repeats, and every node commutes with
-    all big-outcome ancestors on its path. Raises DomainError on violation."""
-    for path in iter_paths(tree):
-        seen = []
-        big_anc = []
-        for index, outcome in path:
-            if not is_full(index) or len(index) != tree.n_qubits:
-                raise DomainError(f"node {format_index(index)} is not a full index")
-            if index in seen:
-                raise DomainError(f"index {format_index(index)} repeats along a path")
-            if any(anticommute(index, a) for a in big_anc):
-                raise DomainError(
-                    f"node {format_index(index)} anti-commutes with a big-outcome ancestor"
-                )
-            seen.append(index)
-            if outcome:
-                big_anc.append(index)
+    all big-outcome ancestors on its path. Raises DomainError on violation.
+    Each node is checked once, against the ancestors carried down to it."""
+
+    def check(node, seen: frozenset, big_anc: tuple):
+        index = node.index
+        if not is_full(index) or len(index) != tree.n_qubits:
+            raise DomainError(f"node {format_index(index)} is not a full index")
+        if index in seen:
+            raise DomainError(f"index {format_index(index)} repeats along a path")
+        if any(anticommute(index, a) for a in big_anc):
+            raise DomainError(
+                f"node {format_index(index)} anti-commutes with a big-outcome ancestor"
+            )
+        seen = seen | {index}
+        for outcome_big, child in ((True, node.big), (False, node.small)):
+            if child is not None:
+                check(child, seen, big_anc + (index,) if outcome_big else big_anc)
+
+    check(tree.root, frozenset(), ())
 
 
 def _node_to_dict(node: Optional[TreeNode]):

@@ -38,3 +38,18 @@ def non_finite_matrix(kind: str) -> np.ndarray:
     else:
         m[1, 3] = m[3, 1] = math.inf
     return m
+
+
+BAD_ERROR_MULTIPLIERS = (-1.0, math.nan, math.inf)
+
+
+class Unmeasured:
+    """A source that fails the test whenever it is asked to measure."""
+
+    shots = None
+
+    def __init__(self, n_qubits: int):
+        self.n_qubits = n_qubits
+
+    def measure_index(self, index):
+        raise AssertionError(f"measured {index} before the settings were checked")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import protocol_target_theta
+from conftest import BAD_ERROR_MULTIPLIERS, Unmeasured, protocol_target_theta
 from entdetect import (
     DegenerateDenominator,
     DegenerateDirection,
@@ -340,3 +340,9 @@ def test_protocol_shot_mode_transcripts_pinned():
         h.update(f"{result.verdict}|{sorted(result.details)}".encode())
         h.update(result.details["identity_error"].hex().encode() if "identity_error" in result.details else b"-")
     assert h.hexdigest() == SHOT_TRANSCRIPT_DIGEST
+
+
+@pytest.mark.parametrize("multiplier", BAD_ERROR_MULTIPLIERS)
+def test_protocol_refuses_a_bad_error_multiplier_before_measuring(multiplier):
+    with pytest.raises(DomainError):
+        run_protocol(Unmeasured(2), error_multiplier=multiplier)

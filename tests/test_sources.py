@@ -69,3 +69,12 @@ def test_filter_refreshes_correlations():
         assert abs(source.measure_index(idx).value - correlation(filtered, idx)) < 1e-12
     dirs = [np.array([0.3, -0.4, 0.5]), np.array([1.0, 0.2, -0.7])]
     assert abs(source.measure_directions(dirs) - _oracle(filtered, dirs)) < 1e-12
+
+
+def test_shot_counts_must_be_integers():
+    # A fractional count would scale a binomial draw of its integer part.
+    rho = bell_phi_plus().density()
+    for shots in (4500.5, 4500.0, "4500", 0, 2**63):
+        with pytest.raises(DomainError):
+            MeasurementSource(rho, shots=shots)
+    assert MeasurementSource(rho, shots=np.int64(4500)).shots == 4500

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import BAD_ERROR_MULTIPLIERS
 from entdetect import (
     CorrelationRecord,
     DensityMatrix,
@@ -31,7 +32,7 @@ from entdetect.cli import main
 from entdetect.correlations import full_positions, pauli_tensor, pauli_tensors, sample
 from entdetect.oracles import ppt_test
 from entdetect.states import check_density, ginibre_product, purities, unit_trace
-from entdetect.sweeps import CompiledTree
+from entdetect.tree import CompiledTree
 
 # SHA-256 of the CLI's standard output, as produced by the per-state
 # purity-sweep loop that the batched sweep replaced.
@@ -242,5 +243,19 @@ def test_sweeps_share_one_plan_and_set_only_the_threshold():
     cached = sweeps._default_plan_2q()
     assert not hasattr(cached, "threshold")  # each sweep hands its threshold to walk
     fresh = CompiledTree(default_tree_2q(0.8))
-    for name in ("full_id", "big", "small", "anti", "lex_rank"):
+    for name in ("full_id", "big", "small", "anti"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("multiplier", BAD_ERROR_MULTIPLIERS)
+def test_walk_refuses_a_bad_error_multiplier(multiplier):
+    values = pauli_tensors(make_werner(0.2).matrix)[None, full_positions(2)]
+    with pytest.raises(DomainError):
+        CompiledTree(default_tree_2q()).walk(values, 0.5, 4500, multiplier)
+
+
+def test_sweep_shot_counts_must_be_integers():
+    for shots in (150.5, 150.0, 99, 2**63):
+        with pytest.raises(DomainError):
+            sweeps.ExperimentConfig(shots=shots)
+    assert sweeps.ExperimentConfig(shots=np.int64(150)).shots == 150

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import BAD_ERROR_MULTIPLIERS, Unmeasured
 from entdetect import tree as tree_module
 from entdetect.correlations import _pauli_rows
 from entdetect.states import _psd_shift
-from entdetect.sweeps import _default_plan_2q
+from entdetect.tree import _default_plan_2q
 from entdetect import (
     CorrelationRecord,
     DecisionTree,
     DensityMatrix,
     DimensionMismatch,
+    DomainError,
     DuplicateIndex,
     MeasurementSource,
     all_full_indices,
@@ -104,8 +106,7 @@ def test_index_tables_match_their_definitions(n):
     indices = all_full_indices(n)
     assert list(t.fulls) == indices
     assert all(t.position[idx] == k for k, idx in enumerate(indices))
-    lex = sorted(indices)
-    assert t.lex_rank.tolist() == [lex.index(idx) for idx in indices]
+    assert sorted(indices) == indices[::-1]  # priority ties break on descending place
     for i, a in enumerate(indices):
         for j, b in enumerate(indices):
             product = _xor_product(a, b)
@@ -119,7 +120,7 @@ def test_index_tables_match_their_definitions(n):
 def test_shared_tables_are_read_only(n):
     t = tree_module.index_tables(n)
     plan = _default_plan_2q()  # the sweeps' cached plan
-    shared = (t.anti, t.product, t.distance, t.lex_rank, _pauli_rows(n), _psd_shift(2**n))
+    shared = (t.anti, t.product, t.distance, _pauli_rows(n), _psd_shift(2**n))
     for table in shared + (plan.full_id, plan.big, plan.small):
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = table[(0,) * table.ndim]
@@ -296,10 +297,10 @@ _VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 0.1]) | st.floats(-1.0, 1.
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_priority_order_matches_oracle(data):
-    # Records with tied values and, some of them, identity labels; the
-    # remaining indices are a shuffled share of the full ones.
+    # Full records with tied values; the remaining indices are a shuffled
+    # share of the full ones.
     n = data.draw(st.integers(1, 4), label="n")
-    labels = st.sampled_from("0xyz" if data.draw(st.booleans()) else "xyz")
+    labels = st.sampled_from("xyz")
     records = st.lists(st.tuples(st.tuples(*[labels] * n), _VALUES), max_size=12, unique_by=lambda r: r[0])
     measured = [CorrelationRecord(idx, value) for idx, value in data.draw(records, label="measured")]
     fulls = data.draw(st.permutations(all_full_indices(n)))
@@ -311,9 +312,9 @@ def test_bloch_start_computes_only_the_walked_path(monkeypatch):
     calls = []
     best_child = tree_module._best_child
 
-    def counting(path, remaining):
+    def counting(path):
         calls.append(len(path))
-        return best_child(path, remaining)
+        return best_child(path)
 
     monkeypatch.setattr(tree_module, "_best_child", counting)
     # Dicke 4:2 is detected within the tree; the maximally mixed state walks
@@ -550,3 +551,17 @@ def test_shot_mode_verdict_subtracts_error():
     assert result.detected == (
         result.sum_of_squares - result.propagated_error > 1.0
     )
+
+
+@pytest.mark.parametrize("multiplier", BAD_ERROR_MULTIPLIERS)
+def test_run_tree_refuses_a_bad_error_multiplier_before_measuring(multiplier):
+    # A negative multiplier lifts a product state's margin above 1, and an
+    # infinite one times an exact run's zero error gives a NaN margin.
+    with pytest.raises(DomainError):
+        run_tree(Unmeasured(2), default_tree_2q(), error_multiplier=multiplier)
+
+
+@pytest.mark.parametrize("multiplier", BAD_ERROR_MULTIPLIERS)
+def test_bloch_start_refuses_a_bad_error_multiplier_before_measuring(multiplier):
+    with pytest.raises(DomainError):
+        run_with_bloch_start(Unmeasured(3), error_multiplier=multiplier)
