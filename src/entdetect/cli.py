@@ -37,8 +37,8 @@ from .schmidt import run_protocol
 from .sources import MeasurementSource
 from .states import (
     DensityMatrix,
-    PureState,
     apply_frame,
+    as_density,
     bell_phi_plus,
     load_state,
     make_colored,
@@ -104,8 +104,7 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     except (ValueError, DomainError) as exc:
         raise ParseError(f"bad state spec {spec!r}: {exc}") from exc
     if spec.endswith(".json"):
-        state = _load_file(load_state, spec, "state")
-        return state.density() if isinstance(state, PureState) else state
+        return as_density(_load_file(load_state, spec, "state"))
     raise ParseError(f"unknown state spec {spec!r}")
 
 

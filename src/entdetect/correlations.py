@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .linalg import PAULI_LABELS, pauli_operator
-from .states import DensityMatrix
+from .states import DensityMatrix, as_density, check_int, check_qubits
 
 Index = Tuple[str, ...]
 
@@ -67,8 +67,9 @@ def is_full(index: Index) -> bool:
 
 
 def all_full_indices(n: int) -> list[Index]:
-    """All 3^n full correlation indices, lexicographic in (z, y, x)."""
-    return [idx for idx in product(_ITER_AXES, repeat=n)]
+    """All 3^n full correlation indices, lexicographic in (z, y, x), for n
+    from 1 to MAX_QUBITS."""
+    return [idx for idx in product(_ITER_AXES, repeat=check_qubits(n))]
 
 
 def full_positions(n: int) -> np.ndarray:
@@ -105,8 +106,9 @@ def pauli_tensor(rho: DensityMatrix) -> np.ndarray:
     """All 4^n expectation values Tr[rho P] as a (4,)*n array.
 
     Axis q runs over the labels 0, x, y, z of party q; the all-identity
-    entry is the trace, 1.
+    entry is the trace, 1. A PureState is read through its density matrix.
     """
+    rho = as_density(rho)
     return pauli_tensors(rho.matrix).reshape((4,) * rho.n_qubits)
 
 
@@ -131,9 +133,10 @@ MAX_SHOTS = 2**63 - 1
 
 
 def check_shots(shots, least: int = 1) -> None:
-    """Raise DomainError unless shots is an integer from least to MAX_SHOTS."""
+    """Raise DomainError unless shots is an integer from least to MAX_SHOTS
+    (a bool is not a count)."""
     try:
-        in_range = least <= operator.index(shots) <= MAX_SHOTS
+        in_range = not isinstance(shots, bool) and least <= operator.index(shots) <= MAX_SHOTS
     except TypeError:
         in_range = False
     if not in_range:
@@ -176,16 +179,15 @@ class CorrelationRecord:
         object.__setattr__(self, "index", tuple(self.index))
         if not abs(self.value) <= 1.0:
             raise DomainError(f"correlation value {self.value} outside [-1, 1]")
-        if self.shots is not None and self.shots < 1:
-            raise DomainError(f"a sampled correlation needs at least one shot, got {self.shots}")
+        if self.shots is not None:
+            check_shots(self.shots)
         object.__setattr__(self, "stderr", standard_error(self.value, self.shots))
 
 
 def bloch_vector(rho: DensityMatrix, party: int) -> np.ndarray:
     """Local Bloch vector (T_x, T_y, T_z with identities elsewhere)."""
     n = rho.n_qubits
-    if not 0 <= party < n:
-        raise DimensionMismatch(f"party {party} out of range for {n} qubits")
+    party = check_int(party, 0, n - 1, "party")
     return pauli_tensor(rho)[(0,) * party + (slice(1, None),) + (0,) * (n - 1 - party)]
 
 

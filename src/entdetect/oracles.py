@@ -9,7 +9,7 @@ import numpy as np
 from .config import TOL
 from .correlations import criterion_met, full_tensor
 from .errors import UnsupportedDimension
-from .states import DensityMatrix
+from .states import DensityMatrix, as_density
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ def ppt_test(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ppt_verdict(rho: DensityMatrix) -> EntanglementVerdict:
     """Peres-Horodecki test (ppt_test); necessary and sufficient at two qubits."""
+    rho = as_density(rho)
     if rho.n_qubits != 2:
         raise UnsupportedDimension("PPT verdict implemented for 2 qubits only")
     entangled, min_eig = ppt_test(rho.matrix)

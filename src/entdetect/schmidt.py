@@ -41,9 +41,9 @@ from .correlations import (
     check_error_multiplier,
     criterion_add,
 )
-from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatch
+from .errors import DegenerateDenominator, DegenerateDirection, DimensionMismatch, DomainError
 from .sources import measure_bloch
-from .states import FilterOp, PureState
+from .states import FilterOp, PureState, check_pure
 
 # The protocol's fixed settings (see run_protocol and bloch_to_basis).
 FILTER_PARTY = 1
@@ -62,7 +62,7 @@ def schmidt_oracle(psi: PureState):
     singular value, theta in [0, pi/4], and
     psi = cos(theta) a x b + sin(theta) a_perp x b_perp exactly.
     """
-    if psi.n_qubits != 2:
+    if check_pure(psi).n_qubits != 2:
         raise DimensionMismatch("Schmidt decomposition defined for 2 qubits here")
     m = psi.amplitudes.reshape(2, 2)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -94,6 +94,8 @@ def bloch_to_basis(alpha) -> tuple[float, float]:
 def schmidt_frame(xi: float, phi: float) -> np.ndarray:
     """Rows z', y', x' of the frame set by the basis angles (see the module
     docstring), read in closed form; PERP_PHASE is looked up per call."""
+    if not math.isfinite(xi) or not math.isfinite(phi):
+        raise DomainError(f"basis angles must be finite, got xi={xi}, phi={phi}")
     chi = PERP_PHASE
     s2, c2 = math.sin(2.0 * xi), math.cos(2.0 * xi)
     sp, cp = math.sin(phi), math.cos(phi)

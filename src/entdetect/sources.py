@@ -18,7 +18,7 @@ import numpy as np
 from .correlations import CorrelationRecord, Index, check_shots, lookup, pauli_tensor, sample
 from .errors import DimensionMismatch, DomainError
 from .linalg import AXES
-from .states import DensityMatrix, FilterOp, apply_filter
+from .states import DensityMatrix, FilterOp, apply_filter, as_density, rng_from_seed
 
 
 def _unit(direction) -> np.ndarray:
@@ -32,15 +32,16 @@ def _unit(direction) -> np.ndarray:
 
 
 class MeasurementSource:
-    """Exact or shot-noise access to the correlations of a hidden state."""
+    """Exact or shot-noise access to the correlations of a hidden state
+    (a PureState is held as its density matrix)."""
 
     def __init__(self, state: DensityMatrix, shots: Optional[int] = None, rng=None):
         if shots is not None:
             check_shots(shots)
-        self._state = state
-        self._tensor = pauli_tensor(state)
+        self._state = as_density(state)
+        self._tensor = pauli_tensor(self._state)
         self.shots = shots
-        self._rng = np.random.default_rng(rng) if shots is not None else None
+        self._rng = rng_from_seed(rng) if shots is not None else None
 
     @property
     def n_qubits(self) -> int:

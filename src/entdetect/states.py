@@ -28,10 +28,16 @@ from .errors import (
 from .linalg import dagger, mat_equal, tensor_product_all
 
 
-def _check_qubits(n) -> int:
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_QUBITS:
-        raise DomainError(f"qubit count must be an integer in [1, {MAX_QUBITS}], got {n!r}")
-    return int(n)
+def check_int(value, low: int, high: int, what: str) -> int:
+    """value as an int; DomainError unless it is an integer (a bool is not)
+    from low to high."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
+        raise DomainError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def check_qubits(n) -> int:
+    return check_int(n, 1, MAX_QUBITS, "qubit count")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +48,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = _check_qubits(self.n_qubits)
+        n = check_qubits(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != 2**n:
             raise DimensionMismatch(f"expected {2**n} amplitudes, got {amps.size}")
@@ -54,6 +60,18 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, np.conjugate(self.amplitudes)))
+
+
+def as_density(state) -> "DensityMatrix":
+    """A PureState as its DensityMatrix; any other state unchanged."""
+    return state.density() if isinstance(state, PureState) else state
+
+
+def check_pure(state) -> PureState:
+    """Raise DomainError unless state is a PureState."""
+    if not isinstance(state, PureState):
+        raise DomainError(f"a pure state is required, got a {type(state).__name__}")
+    return state
 
 
 def check_density(matrices: np.ndarray) -> None:
@@ -113,7 +131,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = _check_qubits(self.n_qubits)
+        n = check_qubits(self.n_qubits)
         m = np.asarray(self.matrix, dtype=complex).copy()
         d = 2**n
         if m.shape != (d, d):
@@ -135,7 +153,7 @@ class LocalFrame:
 
     def __post_init__(self):
         us = tuple(np.asarray(u, dtype=complex).copy() for u in self.unitaries)
-        _check_qubits(len(us))
+        check_qubits(len(us))
         for i, u in enumerate(us):
             if u.shape != (2, 2):
                 raise DimensionMismatch(f"frame factor {i} has shape {u.shape}, expected (2, 2)")
@@ -150,7 +168,9 @@ class LocalFrame:
 
 def ket(bits: str) -> PureState:
     """Computational basis state from a bit string, e.g. ket("01")."""
-    n = _check_qubits(len(bits))
+    n = check_qubits(len(bits))
+    if not set(bits) <= {"0", "1"}:
+        raise DomainError(f"a basis state is a string of 0s and 1s, got {bits!r}")
     amps = np.zeros(2**n, dtype=complex)
     amps[int(bits, 2)] = 1.0
     return PureState(n, amps)
@@ -188,11 +208,10 @@ def make_colored(p) -> DensityMatrix:
 
 def make_dicke(n, k) -> PureState:
     """Equal superposition of all n-bit strings of Hamming weight k."""
-    n = _check_qubits(n)
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
-        raise DomainError(f"excitation number must satisfy 0 <= k <= {n}, got {k!r}")
+    n = check_qubits(n)
+    k = check_int(k, 0, n, "excitation number")
     amps = np.zeros(2**n, dtype=complex)
-    for ones in combinations(range(n), int(k)):
+    for ones in combinations(range(n), k):
         amps[sum(1 << (n - 1 - q) for q in ones)] = 1.0
     return PureState(n, amps / np.linalg.norm(amps))
 
@@ -204,7 +223,7 @@ def project_first_qubit(state: PureState, direction) -> PureState:
     Returns the (n-1)-qubit post-measurement state; raises ZeroProjection if
     the outcome has numerically zero probability.
     """
-    if state.n_qubits < 2:
+    if check_pure(state).n_qubits < 2:
         raise DomainError("projection requires at least 2 qubits")
     d = np.asarray(direction, dtype=complex).reshape(-1)
     if d.size != 2:
@@ -231,9 +250,20 @@ def make_g() -> PureState:
     return project_first_qubit(make_dicke(4, 2), plus)
 
 
+def rng_from_seed(seed) -> np.random.Generator:
+    """np.random.default_rng(seed), raising DomainError for a seed numpy
+    refuses (a negative or fractional number, say)."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad seed {seed!r}: {exc}") from None
+
+
 def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    rng = np.random.default_rng(rng)
+    """Haar-distributed unitary via QR of a complex Ginibre matrix; dim is
+    at most 2^MAX_QUBITS."""
+    check_int(dim, 1, 2**MAX_QUBITS, "dimension")
+    rng = rng_from_seed(rng)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()
@@ -243,8 +273,8 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 def random_pure(n, seed) -> PureState:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
-    n = _check_qubits(n)
-    rng = np.random.default_rng(seed)
+    n = check_qubits(n)
+    rng = rng_from_seed(seed)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(n, amps / np.linalg.norm(amps))
 
@@ -255,13 +285,12 @@ def random_mixed(n, seed, rank=None) -> DensityMatrix:
     rank limits the number of Ginibre columns (rank=1 gives a pure state);
     the default is the full dimension 2^n.
     """
-    n = _check_qubits(n)
+    n = check_qubits(n)
     d = 2**n
     if rank is None:
         rank = d
-    if not 1 <= rank <= d:
-        raise DomainError(f"rank must be in [1, {d}], got {rank}")
-    return DensityMatrix(n, unit_trace(ginibre_product(d, rank, np.random.default_rng(seed))))
+    check_int(rank, 1, d, "rank")
+    return DensityMatrix(n, unit_trace(ginibre_product(d, rank, rng_from_seed(seed))))
 
 
 def ginibre_product(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -278,8 +307,8 @@ def unit_trace(matrices: np.ndarray) -> np.ndarray:
 
 def random_frame(n, seed) -> LocalFrame:
     """Independent Haar-random single-qubit unitaries, one per party."""
-    n = _check_qubits(n)
-    rng = np.random.default_rng(seed)
+    n = check_qubits(n)
+    rng = rng_from_seed(seed)
     return LocalFrame(tuple(haar_unitary(2, rng) for _ in range(n)))
 
 
@@ -312,6 +341,7 @@ class FilterOp:
 
 def apply_filter(rho: DensityMatrix, f: FilterOp) -> tuple[DensityMatrix, float]:
     """Conditioned state after a successful filter, and the success probability."""
+    rho = as_density(rho)
     if not 0 <= f.party < rho.n_qubits:
         raise DimensionMismatch(f"party {f.party} out of range for {rho.n_qubits} qubits")
     op = tensor_product_all(
@@ -326,7 +356,7 @@ def apply_filter(rho: DensityMatrix, f: FilterOp) -> tuple[DensityMatrix, float]
 
 def purity(rho: DensityMatrix) -> float:
     """Tr rho^2; 1 for pure states, 1/2^n for maximally mixed."""
-    return float(purities(rho.matrix))
+    return float(purities(as_density(rho).matrix))
 
 
 def purities(matrices: np.ndarray) -> np.ndarray:
@@ -353,10 +383,10 @@ def state_to_dict(state) -> dict:
 def state_from_dict(data: dict):
     if "amplitudes" in data:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return PureState(int(data["n_qubits"]), amps)
+        return PureState(data["n_qubits"], amps)
     if "matrix" in data:
         m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-        return DensityMatrix(int(data["n_qubits"]), m)
+        return DensityMatrix(data["n_qubits"], m)
     raise DomainError("state dict needs an 'amplitudes' or 'matrix' key")
 
 

@@ -20,12 +20,20 @@ Child selection among the allowed candidates is deterministic:
 A child depends only on its path, so a generated tree computes each child
 when it is first read: a run computes only the nodes it walks, a full
 traversal expands the whole plan; a node keeps only its path, whose indices
-are the candidates it rules out. Indices are (x, z) bitmasks (Aaronson &
-Gottesman, PRA 70, 052328 (2004)): two indices anti-commute when
-popcount((x1 & z2) ^ (z1 & x2)) is odd, and their product, up to phase, is
-the XOR of the masks. index_tables(n) turns these into read-only tables over
-the 3^n full indices, built once per process, so that choosing a child is a
-few array operations: mask the allowed candidates, take the argmin of the key.
+are the candidates it rules out.
+
+The labels z, y, x of a full index are the base-3 digits 0, 1, 2 of its place
+in all_full_indices(n), and index_tables(n) builds every table from that one
+digit array. Two full indices anti-commute when they differ at an odd number
+of parties. Where two labels differ, their product is, up to phase, the
+third axis (digit 3 - a - b); where they agree, it is the identity. So a
+commuting pair's product is full only when the pair differs at every party,
+and at odd n no product of a commuting pair is full. The cyclic distance is
+the digit-wise difference mod 3, and a cyclic renaming z -> y -> x of one
+party adds 1 mod 3 to its digit. The tests hold the tables to the (x, z)
+bitmask algebra of Aaronson & Gottesman (PRA 70, 052328 (2004)). The tables
+are read-only and built once per process, so that choosing a child is a few
+array operations: mask the allowed candidates, take the argmin of the key.
 
 On tree exhaustion the run continues with a priority-ordered queue over the
 unmeasured indices (lowest spent trade-off budget first). run_tree walks
@@ -59,30 +67,21 @@ from .correlations import (
     standard_error,
 )
 from .errors import DimensionMismatch, DomainError, NonFullCorrelation
+from .linalg import PAULI_LABELS
 from .sources import measure_bloch
 
+# A full index's labels are the base-3 digits of its place in all_full_indices.
 _AXIS_POS = {"z": 0, "y": 1, "x": 2}
-_XZ_BITS = {"0": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
-
-
-@cache
-def _masks(index: Index) -> tuple[int, int]:
-    """(x, z) bitmasks of an index: bit q is set when the label of party q has
-    an X (a Z) part; y has both."""
-    x = z = 0
-    for q, label in enumerate(index):
-        bx, bz = _XZ_BITS[label]
-        x |= bx << q
-        z |= bz << q
-    return x, z
 
 
 def anticommute(a: Index, b: Index) -> bool:
-    """True when the product operators anti-commute."""
+    """True when the product operators anti-commute: when an odd number of
+    parties hold two different non-identity labels."""
     if len(a) != len(b):
         raise DimensionMismatch(f"index lengths differ: {len(a)} vs {len(b)}")
-    (xa, za), (xb, zb) = _masks(tuple(a)), _masks(tuple(b))
-    return bool(((xa & zb) ^ (za & xb)).bit_count() & 1)
+    if not set(a) | set(b) <= set(PAULI_LABELS):
+        raise DomainError(f"bad Pauli label in {a!r} or {b!r}")
+    return sum(p != q and "0" not in (p, q) for p, q in zip(a, b)) % 2 == 1
 
 
 IndexTables = namedtuple("IndexTables", "fulls position anti product distance")
@@ -96,19 +95,20 @@ def index_tables(n: int) -> IndexTables:
     -1 if it is not full) and distance[p, c] (cyclic, of c from p, as one
     base-3 number). Lexicographic (x < y < z) order is descending place."""
     fulls = tuple(all_full_indices(n))
-    xs, zs = np.array([_masks(c) for c in fulls]).T
-    anti = np.bitwise_count((xs[:, None] & zs) ^ (zs[:, None] & xs)) & 1 == 1
-    px, pz = xs[:, None] ^ xs, zs[:, None] ^ zs
-    # Party q of a product reads z, y, x as (x, z) bits 01, 11, 10: digit x * (2 - z).
-    place = sum((px >> q & 1) * (2 - (pz >> q & 1)) * 3 ** (n - 1 - q) for q in range(n))
-    product = np.where(~anti & ((px | pz) == 2**n - 1), place, -1)
-    # A position's base-3 digits are the _AXIS_POS of its labels: the distance
-    # is their difference mod 3.
     digits = np.array([[_AXIS_POS[c] for c in idx] for idx in fulls])
-    distance = ((digits - digits[:, None]) % 3) @ 3 ** np.arange(n - 1, -1, -1)
+    # Party by party, for the pair (p, c): the digits of p and of c.
+    p, c = digits[:, None], digits[None, :]
+    weights = 3 ** np.arange(n - 1, -1, -1)
+    differ = p != c
+    anti = differ.sum(axis=2) % 2 == 1
+    # Where two labels differ, their product is the third axis, 3 - p - c;
+    # where they agree, it is the identity. So a product is full only when
+    # the labels differ at every party, and at odd n no such pair commutes.
+    product = np.where(~anti & differ.all(axis=2), (3 - p - c) @ weights, -1)
+    distance = ((c - p) % 3) @ weights
     for table in (anti, product, distance):
         table.setflags(write=False)
-    return IndexTables(fulls, {c: k for k, c in enumerate(fulls)}, anti, product, distance)
+    return IndexTables(fulls, {idx: k for k, idx in enumerate(fulls)}, anti, product, distance)
 
 
 @dataclass
@@ -180,9 +180,9 @@ def _best_child(path) -> Optional[int]:
 def _plan(n: int, root: Index, threshold: float, max_depth: Optional[int]) -> DecisionTree:
     if not 1 <= n <= MAX_QUBITS:
         raise DomainError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    if max_depth is not None and max_depth < 1:
+    if max_depth is not None and not max_depth >= 1:  # NaN fails too
         raise DomainError(f"max_depth must be >= 1, got {max_depth}")
-    root = tuple(root)
+    root = parse_index(root)
     if len(root) != n:
         raise DimensionMismatch(f"root index length {len(root)} does not match n={n}")
     if not is_full(root):
@@ -210,6 +210,15 @@ def default_tree_2q(threshold: float = 0.5) -> DecisionTree:
     return generate_tree(2, ("z", "z"), threshold=threshold)
 
 
+def _places(t: IndexTables, indices: Sequence[Index]) -> list[int]:
+    """The place of each index in t; NonFullCorrelation for one that is not
+    a full index of t's qubit count."""
+    try:
+        return [t.position[tuple(idx)] for idx in indices]
+    except KeyError as exc:
+        raise NonFullCorrelation(f"{exc.args[0]} is not a full {len(t.fulls[0])}-qubit index") from None
+
+
 def priority_order(
     measured: Iterable[CorrelationRecord], remaining: Sequence[Index]
 ) -> list[Index]:
@@ -219,19 +228,20 @@ def priority_order(
     measured correlations that anti-commute with it (at two qubits these are
     exactly the row and column partners). Lower priority values are measured
     first; ties break lexicographically (x < y < z). Every index, measured
-    or remaining, must be full.
+    or remaining, must be a full index of as many qubits as the first
+    remaining one (NonFullCorrelation otherwise).
     """
     remaining = list(remaining)
     if not remaining:
         return []
     t = index_tables(len(remaining[0]))
     measured = list(measured)
-    anti = t.anti[[t.position[r.index] for r in measured]]
+    anti = t.anti[_places(t, [r.index for r in measured])]
     squares = np.array([r.value * r.value for r in measured])[:, None]
     # Down axis 0, numpy adds left to right in record order, as
     # CompiledTree.walk does (sum() compensates its rounding from Python 3.12 on).
     spent = (anti * squares).sum(axis=0)
-    place = [t.position[idx] for idx in remaining]
+    place = _places(t, remaining)
     return [remaining[k] for k in np.lexsort((np.negative(place), spent[place]))]
 
 
@@ -367,7 +377,6 @@ def _default_plan_2q() -> CompiledTree:
     return CompiledTree(default_tree_2q())
 
 
-_RENAME_SHIFT = {"x": 0, "z": 1, "y": 2}
 # A party's largest Bloch component must reach this to pick its root label.
 DOMINANCE_THRESHOLD = 0.2
 
@@ -387,7 +396,9 @@ def starting_index_from_bloch(blochs: Sequence[np.ndarray]) -> tuple[Index, tupl
             raise DimensionMismatch("each Bloch vector must have 3 components")
         k = int(np.argmax(np.abs(b)))
         dominant.append("xyz"[k] if abs(b[k]) >= DOMINANCE_THRESHOLD else "z")
-    renamings = ({a: "zyx"[(_AXIS_POS[a] + _RENAME_SHIFT[axis]) % 3] for a in "xyz"} for axis in dominant)
+    # Renaming x to axis adds the same shift to every digit of the party.
+    shift = {axis: _AXIS_POS[axis] - _AXIS_POS["x"] for axis in "xyz"}
+    renamings = ({a: "zyx"[(_AXIS_POS[a] + shift[axis]) % 3] for a in "xyz"} for axis in dominant)
     return tuple(dominant), tuple(renamings)
 
 
@@ -434,22 +445,26 @@ def iter_paths(tree: DecisionTree):
 def validate_tree(tree: DecisionTree) -> None:
     """Check the path invariants: no repeats, and every node commutes with
     all big-outcome ancestors on its path. Raises DomainError on violation.
-    Each node is checked once, against the ancestors carried down to it."""
+    Each node is checked once, by place, against the big-outcome ancestors
+    carried down to it, in its row of the anti table."""
+    t = index_tables(tree.n_qubits)
+    anti = t.anti.tolist()
 
     def check(node, seen: frozenset, big_anc: tuple):
         index = node.index
-        if not is_full(index) or len(index) != tree.n_qubits:
+        place = t.position.get(index)
+        if place is None:
             raise DomainError(f"node {format_index(index)} is not a full index")
-        if index in seen:
+        if place in seen:
             raise DomainError(f"index {format_index(index)} repeats along a path")
-        if any(anticommute(index, a) for a in big_anc):
+        if any(anti[place][a] for a in big_anc):
             raise DomainError(
                 f"node {format_index(index)} anti-commutes with a big-outcome ancestor"
             )
-        seen = seen | {index}
+        seen = seen | {place}
         for outcome_big, child in ((True, node.big), (False, node.small)):
             if child is not None:
-                check(child, seen, big_anc + (index,) if outcome_big else big_anc)
+                check(child, seen, big_anc + (place,) if outcome_big else big_anc)
 
     check(tree.root, frozenset(), ())
 

@@ -201,7 +201,9 @@ def test_criterion_shot_mode_error_subtraction():
 def test_record_invariant():
     from entdetect import DomainError
 
-    for value, shots in ((1.2, None), (1.05, 4500), (-1.0000001, 100), (math.nan, None), (0.5, 0)):
+    # A record checks its shot count as MeasurementSource does (check_shots).
+    for value, shots in ((1.2, None), (1.05, 4500), (-1.0000001, 100), (math.nan, None), (0.5, 0),
+                         (0.5, 4500.5), (0.5, True), (0.5, 2**63)):
         with pytest.raises(DomainError):
             CorrelationRecord(("z", "z"), value, shots)
     # the error is derived from the value and the shot count, never given

@@ -12,6 +12,7 @@ from entdetect import (
     apply_frame,
     bell_phi_plus,
     correlation,
+    ket,
     random_frame,
     random_mixed,
     tensor_product_all,
@@ -74,7 +75,22 @@ def test_filter_refreshes_correlations():
 def test_shot_counts_must_be_integers():
     # A fractional count would scale a binomial draw of its integer part.
     rho = bell_phi_plus().density()
-    for shots in (4500.5, 4500.0, "4500", 0, 2**63):
+    for shots in (4500.5, 4500.0, "4500", 0, 2**63, True):  # a bool is not a count
         with pytest.raises(DomainError):
-            MeasurementSource(rho, shots=shots)
+            MeasurementSource(rho, shots=shots, rng=1)
     assert MeasurementSource(rho, shots=np.int64(4500)).shots == 4500
+
+
+def test_a_pure_state_is_read_through_its_density_matrix():
+    psi = apply_frame(ket("01"), random_frame(2, 5))
+    source, oracle = MeasurementSource(psi), MeasurementSource(psi.density())
+    for idx in all_full_indices(2) + [("z", "0"), ("0", "x")]:
+        assert source.measure_index(idx).value == oracle.measure_index(idx).value
+    f = FilterOp(0, 0.4)
+    assert source.apply_filter(f) == oracle.apply_filter(f)
+
+
+@pytest.mark.parametrize("rng", [-1, 1.5])
+def test_a_bad_shot_seed_is_refused(rng):
+    with pytest.raises(DomainError):
+        MeasurementSource(bell_phi_plus(), shots=100, rng=rng)

@@ -8,9 +8,11 @@ from entdetect import (
     DensityMatrix,
     DimensionMismatch,
     DomainError,
+    FilterOp,
     LocalFrame,
     PureState,
     ZeroProjection,
+    apply_filter,
     apply_frame,
     bell_phi_plus,
     full_tensor,
@@ -21,11 +23,13 @@ from entdetect import (
     make_w,
     make_werner,
     mat_equal,
+    ppt_verdict,
     project_first_qubit,
     purity,
     random_frame,
     random_mixed,
     random_pure,
+    schmidt_oracle,
     singlet,
     state_from_dict,
     state_to_dict,
@@ -257,3 +261,53 @@ def test_state_json_roundtrip(tmp_path):
     loaded = load_state(path)
     assert isinstance(loaded, PureState)
     assert np.allclose(loaded.amplitudes, psi.amplitudes, atol=1e-15)
+
+
+# Each seeded constructor, read as an array.
+SEEDED = {
+    "random_pure": lambda seed: random_pure(2, seed).amplitudes,
+    "random_mixed": lambda seed: random_mixed(2, seed).matrix,
+    "random_frame": lambda seed: np.stack(random_frame(2, seed).unitaries),
+    "haar_unitary": lambda seed: haar_unitary(2, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan])
+def test_a_bad_seed_is_refused(name, seed):
+    with pytest.raises(DomainError):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_a_generator_is_a_seed(name):
+    assert np.array_equal(SEEDED[name](4), SEEDED[name](np.random.default_rng(4)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ket("0q"),
+    lambda: ket("012"),
+    lambda: random_mixed(2, 1, rank=1.5),
+    lambda: random_mixed(2, 1, rank=True),
+    lambda: haar_unitary(4500.5, 1),
+    lambda: haar_unitary(2**63, 1),
+    lambda: make_dicke(4, 2.0),
+    lambda: state_from_dict({"n_qubits": math.nan, "amplitudes": [[1, 0]] * 4}),
+    lambda: state_from_dict({"n_qubits": 2.5, "amplitudes": [[1, 0]] * 4}),
+    lambda: schmidt_oracle(bell_phi_plus().density()),
+    lambda: project_first_qubit(make_w().density(), [1, 0]),
+], ids=["ket-letter", "ket-digit", "rank-fraction", "rank-bool", "dim-fraction", "dim-huge",
+        "dicke-float", "dict-nan-count", "dict-fractional-count", "oracle-mixed", "project-mixed"])
+def test_a_value_outside_the_domain_is_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_a_pure_state_stands_for_its_density_matrix():
+    psi = apply_frame(bell_phi_plus(), random_frame(2, 8))
+    rho = psi.density()
+    assert purity(psi) == purity(rho)
+    assert ppt_verdict(psi) == ppt_verdict(rho)
+    filtered, p = apply_filter(psi, FilterOp(1, 0.5))
+    expected, q = apply_filter(rho, FilterOp(1, 0.5))
+    assert p == q and np.array_equal(filtered.matrix, expected.matrix)

@@ -19,6 +19,8 @@ from entdetect import (
     DimensionMismatch,
     DomainError,
     DuplicateIndex,
+    NonFullCorrelation,
+    ParseError,
     MeasurementSource,
     all_full_indices,
     anticommute,
@@ -73,6 +75,9 @@ def test_anticommute_label_rule():
     assert anticommute(("z", "0"), ("x", "z"))
     with pytest.raises(DimensionMismatch):
         anticommute(("z",), ("z", "z"))
+    # A label outside 0xyz is refused, not read as a digit or a mask.
+    with pytest.raises(DomainError):
+        anticommute(("z", "q"), ("z", "z"))
 
 
 def test_anticommute_matches_matrix_oracle():
@@ -91,11 +96,32 @@ def test_anticommutation_table_matches_anticommute():
         assert table.tolist() == [[anticommute(a, b) for b in indices] for a in indices]
 
 
-_LABEL_OF_BITS = {(0, 0): "0", (1, 0): "x", (1, 1): "y", (0, 1): "z"}
+# The (x, z) bitmask algebra (Aaronson & Gottesman, PRA 70, 052328 (2004)),
+# the oracle of the tree module's base-3 digit algebra: bit q of x (of z) is
+# set when the label of party q has an X (a Z) part; y has both. Two indices
+# anti-commute when popcount((x1 & z2) ^ (z1 & x2)) is odd, and their
+# product, up to phase, is the XOR of the masks.
+_XZ_BITS = {"0": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
+# The cyclic distance's digits, z -> y -> x.
+_AXIS_POS = {"z": 0, "y": 1, "x": 2}
+_LABEL_OF_BITS = {bits: label for label, bits in _XZ_BITS.items()}
+
+
+def _masks(index):
+    x = z = 0
+    for q, label in enumerate(index):
+        bx, bz = _XZ_BITS[label]
+        x |= bx << q
+        z |= bz << q
+    return x, z
+
+
+def _mask_anti(a, b):
+    return bool(((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1)
 
 
 def _xor_product(a, b):
-    (xa, za), (xb, zb) = tree_module._masks(a), tree_module._masks(b)
+    (xa, za), (xb, zb) = _masks(a), _masks(b)
     x, z = xa ^ xb, za ^ zb
     return tuple(_LABEL_OF_BITS[(x >> q & 1, z >> q & 1)] for q in range(len(a)))
 
@@ -107,13 +133,18 @@ def test_index_tables_match_their_definitions(n):
     assert list(t.fulls) == indices
     assert all(t.position[idx] == k for k, idx in enumerate(indices))
     assert sorted(indices) == indices[::-1]  # priority ties break on descending place
+    assert t.anti.dtype == bool and t.product.dtype == t.distance.dtype == np.intp
     for i, a in enumerate(indices):
         for j, b in enumerate(indices):
+            anti = _mask_anti(_masks(a), _masks(b))
+            assert t.anti[i, j] == anti
             product = _xor_product(a, b)
-            full = not anticommute(a, b) and "0" not in product
+            full = not anti and "0" not in product
             assert t.product[i, j] == (indices.index(product) if full else -1)
             distance = [(_AXIS_POS[c] - _AXIS_POS[p]) % 3 for c, p in zip(b, a)]
             assert t.distance[i, j] == int("".join(map(str, distance)), 3)
+    if n % 2:  # a commuting pair differs at an even number of parties, never at all n
+        assert (t.product == -1).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -221,11 +252,6 @@ def test_generated_tree_json_pinned(n, root):
 # Reference implementations of the child rule and the priority queue, one
 # candidate at a time on (x, z) bitmasks, as the generator ran before its
 # index tables.
-_AXIS_POS = {"z": 0, "y": 1, "x": 2}
-
-
-def _mask_anti(a, b):
-    return bool(((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1)
 
 
 def _count_anti(mask, masks):
@@ -243,10 +269,9 @@ def _distance_from(parent):
 
 
 def _oracle_child(path, remaining):
-    masks = tree_module._masks
-    big_masks = [masks(idx) for idx, big in path if big]
-    small_masks = [masks(idx) for idx, big in path if not big]
-    allowed = [c for c in remaining if not _count_anti(masks(c), big_masks)]
+    big_masks = [_masks(idx) for idx, big in path if big]
+    small_masks = [_masks(idx) for idx, big in path if not big]
+    allowed = [c for c in remaining if not _count_anti(_masks(c), big_masks)]
     if not allowed:
         return None
     forced_small = Counter(
@@ -255,17 +280,17 @@ def _oracle_child(path, remaining):
     distance = _distance_from(path[-1][0])
     return min(
         allowed,
-        key=lambda c: (forced_small[masks(c)], _count_anti(masks(c), small_masks), distance[c]),
+        key=lambda c: (forced_small[_masks(c)], _count_anti(_masks(c), small_masks), distance[c]),
     )
 
 
 def _oracle_priority_order(measured, remaining):
-    measured = [(tree_module._masks(r.index), r.value * r.value) for r in measured]
+    measured = [(_masks(r.index), r.value * r.value) for r in measured]
 
     def spent(idx):
         total = 0.0
         for m, v2 in measured:
-            if _mask_anti(m, tree_module._masks(idx)):
+            if _mask_anti(m, _masks(idx)):
                 total += v2
         return total
 
@@ -565,3 +590,27 @@ def test_run_tree_refuses_a_bad_error_multiplier_before_measuring(multiplier):
 def test_bloch_start_refuses_a_bad_error_multiplier_before_measuring(multiplier):
     with pytest.raises(DomainError):
         run_with_bloch_start(Unmeasured(3), error_multiplier=multiplier)
+
+
+def test_generate_tree_parses_its_root():
+    # A bad label used to build a tree that failed at its first child read.
+    with pytest.raises(ParseError):
+        generate_tree(2, ("z", "q"))
+    assert generate_tree(2, "xy").root.index == ("x", "y")
+
+
+@pytest.mark.parametrize("measured, remaining", [
+    ([CorrelationRecord(("z", "0"), 1.0)], [("x", "x")]),
+    ([CorrelationRecord(("x", "x", "x"), 0.5)], [("x", "x")]),
+    ([], [("z", "z"), ("z", "0")]),
+    ([], [("z", "z"), ("z", "q")]),
+])
+def test_priority_order_refuses_a_non_full_index(measured, remaining):
+    with pytest.raises(NonFullCorrelation):
+        priority_order(measured, remaining)
+
+
+@pytest.mark.parametrize("node", [TreeNode(("z", "q")), TreeNode(("z", "0")), TreeNode(("z",) * 3)])
+def test_validate_tree_refuses_a_node_that_is_not_a_full_index(node):
+    with pytest.raises(DomainError):
+        validate_tree(DecisionTree(TreeNode(("z", "z"), big=node)))
