@@ -44,6 +44,7 @@ Index = Tuple[str, ...]
 
 # Per-party label order used when enumerating full indices.
 _ITER_AXES = ("z", "y", "x")
+_FULL_LABELS = frozenset(_ITER_AXES)
 # Position of each label along an axis of a Pauli tensor.
 _POSITION = {label: k for k, label in enumerate(PAULI_LABELS)}
 
@@ -62,8 +63,8 @@ def format_index(index: Index) -> str:
 
 
 def is_full(index: Index) -> bool:
-    """True when no party is at the identity."""
-    return all(label != "0" for label in index)
+    """True when every party's label is x, y or z."""
+    return _FULL_LABELS.issuperset(index)
 
 
 def all_full_indices(n: int) -> list[Index]:
@@ -254,8 +255,9 @@ def criterion_add(
     """Add one full-correlation record to state in O(1); True when the
     running sum, after subtracting error_multiplier times the propagated
     error, passes criterion_met."""
+    check_error_multiplier(error_multiplier)
     if not is_full(record.index):
-        raise NonFullCorrelation(f"index {format_index(record.index)} contains the identity")
+        raise NonFullCorrelation(f"index {record.index!r} is not a full index")
     if record.index in state.measured:
         raise DuplicateIndex(f"index {format_index(record.index)} already measured")
     state.measured.add(record.index)

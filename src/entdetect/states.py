@@ -332,6 +332,7 @@ class FilterOp:
     eps: float
 
     def __post_init__(self):
+        object.__setattr__(self, "party", check_int(self.party, 0, MAX_QUBITS - 1, "party"))
         if not 0.0 < self.eps <= 1.0:
             raise DomainError(f"filter strength must be in (0, 1], got {self.eps}")
 

@@ -1,17 +1,17 @@
 """Parameter sweeps: detection across the Werner family, and across the
-Ginibre ensemble binned by purity. This module draws, checks, batches and
-tallies; the walk is tree.CompiledTree's.
+Ginibre ensemble binned by purity. This module draws, checks and tallies;
+the walk is tree.CompiledTree's.
 
-Both sweeps draw and check their states on stacks of at most CHUNK
-states, and take the exact full correlations of a stack from its Pauli
-tensors. The rows of the stacks are then joined into batches of about
-WALK_ROWS rows; in shot mode a batch first draws every value of every row
-at once through the one binomial model, correlations.sample. A run
-measures each index at most once, and each draw is an independent
-binomial given the state, so drawing all 3^n values up front gives every
-run the distribution of run_tree's lazy draws. Every batch is walked
-through the default two-qubit tree, compiled once per process
-(tree._default_plan_2q), at the sweep's threshold and shot count.
+Both sweeps work on stacks of at most CHUNK states: each stack is drawn
+and checked, its exact full correlations are taken from its Pauli
+tensors, and its rows are walked as soon as it is ready. In shot mode a
+stack first draws every value of every row at once through the one
+binomial model, correlations.sample. A run measures each index at most
+once, and each draw is an independent binomial given the state, so
+drawing all 3^n values up front gives every run the distribution of
+run_tree's lazy draws. Every stack is walked through the default
+two-qubit tree, compiled once per process (tree._default_plan_2q), at the
+sweep's threshold and shot count.
 
 Seeding: the purity sweep draws sample i from the i-th generator spawned
 from SeedSequence(seed), so both modes draw the same states. The seed
@@ -19,8 +19,8 @@ words of a chunk's children are computed in one pass (_spawned_words)
 rather than through one SeedSequence and one default_rng per sample, and
 the rank is read from the first raw word; the streams and draws are the
 same. The shot noise of either sweep comes from one generator seeded with
-SeedSequence([seed, 1]), drawn row by row in sample order, so it depends
-on neither CHUNK nor WALK_ROWS.
+SeedSequence([seed, 1]), drawn row by row in sample order, so it does not
+depend on CHUNK.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from .states import check_density, make_werner, purities, unit_trace
 from .tree import _default_plan_2q
 
 MIN_SHOTS = 100
-# Rows drawn and validated together, and rows walked together: large enough
-# to amortize the per-batch numpy calls, small enough that memory does not
-# grow with the sample count. A walk holds 9 values per row.
-CHUNK = 256
-WALK_ROWS = 4096
+# Rows drawn, validated and walked together: large enough to amortize the
+# per-stack numpy calls, small enough that memory does not grow with the
+# sample count. A walk holds 9 values per row.
+CHUNK = 1024
 _FULL_2Q = full_positions(2)  # where the two-qubit full values sit in a Pauli tensor
 # Constants of numpy's SeedSequence, whose output NEP 19 keeps stable.
 _MASK32 = 0xFFFFFFFF
@@ -102,36 +101,21 @@ class SweepResult:
         return json.dumps([asdict(r) for r in self.rows])
 
 
-def _batches(chunks):
-    """The chunks' (group, exact) pairs joined in order into batches of at
-    least WALK_ROWS rows, the last batch holding the rest."""
-    groups, values, rows = [], [], 0
-    for group, exact in chunks:
-        groups.append(group)
-        values.append(exact)
-        rows += len(group)
-        if rows >= WALK_ROWS:
-            yield np.concatenate(groups), np.concatenate(values)
-            groups, values, rows = [], [], 0
-    if groups:
-        yield np.concatenate(groups), np.concatenate(values)
-
-
 def _sweep(chunks, parameters, cfg: ExperimentConfig) -> SweepResult:
     """Walk every run of the chunks through the default tree and tally the
     runs by group, one row per group that ran at least once.
 
     chunks yields (group, exact) pairs: a row of exact holds one run's values
     for all_full_indices(2), and group the index of the parameter it counts
-    toward. The rows are walked in batches of about WALK_ROWS (_batches); in
-    shot mode the values are first drawn from the sweep's noise generator,
-    and each walk derives their standard errors from cfg.shots.
+    toward. Each pair is walked as it is yielded; in shot mode its values
+    are first drawn from the sweep's noise generator, and each walk derives
+    their standard errors from cfg.shots.
     """
     plan = _default_plan_2q()
     noise = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     runs, hits = np.zeros((2, len(parameters)), dtype=int)
     steps = np.zeros(len(parameters))
-    for group, exact in _batches(chunks):
+    for group, exact in chunks:
         values = exact if cfg.shots is None else sample(exact, cfg.shots, noise)
         walk = plan.walk(values, cfg.threshold, cfg.shots, cfg.error_multiplier)
         np.add.at(runs, group, 1)

@@ -240,6 +240,16 @@ def test_tree_gen(tmp_path):
     assert tree3.root.big.index == ("x", "z", "z")
 
 
+def test_tree_gen_without_out_prints_the_tree(capsys):
+    assert main(["tree-gen", "2", "zz"]) == 0
+    assert json.loads(capsys.readouterr().out) == ed.tree_to_dict(ed.generate_tree(2, "zz"))
+
+
+def test_detect_singlet(capsys):
+    assert main(["detect", "singlet"]) == 0
+    assert capsys.readouterr().out.startswith("verdict: detected")
+
+
 def test_detect_with_tree_file(tmp_path):
     tree_path = tmp_path / "t.json"
     assert main(["tree-gen", "2", "xx", "--out", str(tree_path)]) == 0
@@ -338,6 +348,11 @@ def test_sweep_werner_zero_repeats(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_sweep_purity_needs_1000_samples(capsys):
+    assert main(["sweep-purity", "--samples", "999"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_sweep_purity_zero_bins(capsys):
     assert main(["sweep-purity", "--bins", "0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -356,9 +371,11 @@ def test_sweep_purity_rejects_too_many_bins(capsys):
         b"not a tree {",
         b"\xff\xfe not utf-8",
         b'{"threshold": "x", "root": {"index": "zz", "big": null, "small": null}}',
+        b'{"threshold": 0.5, "root": null}',
         b'{"threshold": 0.5, "root": ' + b'{"index": "zz", "small": null, "big": ' * 3000 + b"null" + b"}" * 3001,
     ],
-    ids=["node-without-index", "node-not-object", "not-json", "not-utf8", "threshold-not-number", "nested-3000-deep"],
+    ids=["node-without-index", "node-not-object", "not-json", "not-utf8", "threshold-not-number", "root-null",
+         "nested-3000-deep"],
 )
 def test_detect_malformed_tree_file(tmp_path, capsys, content):
     path = tmp_path / "bad-tree.json"
@@ -384,6 +401,13 @@ def test_detect_state_file_nested_too_deep(tmp_path, capsys):
 def test_detect_state_file_qubit_count_not_a_number(tmp_path, capsys):
     path = tmp_path / "bad-state.json"
     path.write_text(json.dumps({"n_qubits": "two", "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    assert main(["detect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_detect_state_file_without_a_state(tmp_path, capsys):
+    path = tmp_path / "no-state.json"
+    path.write_text(json.dumps({"n_qubits": 2}))
     assert main(["detect", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import BAD_ERROR_MULTIPLIERS
 from entdetect import (
     CorrelationRecord,
     CriterionState,
     DensityMatrix,
     DetectionResult,
     DimensionMismatch,
+    DomainError,
     DuplicateIndex,
     MeasurementSource,
     NonFullCorrelation,
@@ -183,6 +185,29 @@ def test_criterion_rejects_duplicates_and_locals():
         criterion_add(state, CorrelationRecord(("z", "0"), 0.1))
     # a rejected record leaves the accumulator as it was
     assert state.running_sum == 0.25 and state.measured == {("z", "z")}
+
+
+def test_criterion_counts_only_labels_x_y_and_z():
+    # Only x, y and z are full labels; a substring test would take "xy" for one.
+    state = CriterionState()
+    criterion_add(state, CorrelationRecord(("z", "z"), 0.5))
+    for index in (("q", "q"), ("w", "w"), ("xy", "z"), ("z", 1)):
+        with pytest.raises(NonFullCorrelation, match="is not a full index"):
+            criterion_add(state, CorrelationRecord(index, 0.8))
+    assert state.running_sum == 0.25 and state.measured == {("z", "z")}
+    assert [is_full(i) for i in (("x", "y", "z"), ("x", "q"), ("xy",))] == [True, False, False]
+    result = DetectionResult((CorrelationRecord(("z", "z"), 0.5), CorrelationRecord(("q", "q"), 0.8)), False, "tree")
+    assert result.full_records == result.records[:1] and result.steps == 1
+
+
+@pytest.mark.parametrize("multiplier", [*BAD_ERROR_MULTIPLIERS, -50.0])
+def test_criterion_refuses_a_bad_error_multiplier(multiplier):
+    state = CriterionState()
+    criterion_add(state, CorrelationRecord(("y", "y"), 0.5, 100))
+    before = (state.running_sum, state.variance, set(state.measured))
+    with pytest.raises(DomainError):
+        criterion_add(state, CorrelationRecord(("z", "z"), 0.9, 100), multiplier)
+    assert (state.running_sum, state.variance, state.measured) == before
 
 
 def test_criterion_shot_mode_error_subtraction():

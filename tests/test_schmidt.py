@@ -9,6 +9,7 @@ from conftest import BAD_ERROR_MULTIPLIERS, Unmeasured, protocol_target_theta
 from entdetect import (
     DegenerateDenominator,
     DegenerateDirection,
+    DimensionMismatch,
     DomainError,
     FilterOp,
     PAULIS,
@@ -346,3 +347,8 @@ def test_protocol_shot_mode_transcripts_pinned():
 def test_protocol_refuses_a_bad_error_multiplier_before_measuring(multiplier):
     with pytest.raises(DomainError):
         run_protocol(Unmeasured(2), error_multiplier=multiplier)
+
+
+def test_bloch_to_basis_needs_three_components():
+    with pytest.raises(DimensionMismatch):
+        bloch_to_basis([1, 0])

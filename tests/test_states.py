@@ -311,3 +311,32 @@ def test_a_pure_state_stands_for_its_density_matrix():
     filtered, p = apply_filter(psi, FilterOp(1, 0.5))
     expected, q = apply_filter(rho, FilterOp(1, 0.5))
     assert p == q and np.array_equal(filtered.matrix, expected.matrix)
+
+
+@pytest.mark.parametrize("party", [1.5, True, -1, 4])
+def test_a_filter_party_must_be_a_qubit_position(party):
+    # A fractional party would filter no party, and True would filter party 1.
+    with pytest.raises(DomainError):
+        FilterOp(party, 0.3)
+
+
+def test_a_numpy_integer_is_a_filter_party():
+    f = FilterOp(np.int64(1), 0.3)
+    assert f == FilterOp(1, 0.3) and type(f.party) is int
+    filtered, p = apply_filter(make_werner(0.8), f)
+    expected, q = apply_filter(make_werner(0.8), FilterOp(1, 0.3))
+    assert p == q < 1.0 and np.array_equal(filtered.matrix, expected.matrix)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DensityMatrix(2, np.eye(2)), DimensionMismatch),
+    (lambda: LocalFrame((np.eye(3), np.eye(2))), DimensionMismatch),
+    (lambda: LocalFrame((2 * np.eye(2), np.eye(2))), DomainError),
+    (lambda: project_first_qubit(ket("0"), [1, 0]), DomainError),
+    (lambda: project_first_qubit(ket("00"), [1, 0, 0]), DimensionMismatch),
+    (lambda: state_from_dict({"n_qubits": 2}), DomainError),
+], ids=["matrix-shape", "frame-shape", "frame-not-unitary", "project-one-qubit", "project-direction",
+        "dict-without-state"])
+def test_a_state_input_of_the_wrong_shape_is_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -194,8 +194,6 @@ def test_shot_purity_sweep_is_seeded_and_samples_the_exact_sweeps_states(capsys)
 )
 def test_sweep_output_does_not_depend_on_the_chunk_size(argv, capsys, monkeypatch):
     whole = _stdout(argv, capsys)
-    monkeypatch.setattr(sweeps, "CHUNK", 7)
-    assert _stdout(argv, capsys) == whole
     walked = []
     walk = CompiledTree.walk
 
@@ -204,10 +202,10 @@ def test_sweep_output_does_not_depend_on_the_chunk_size(argv, capsys, monkeypatc
         return walk(plan, values, *rest)
 
     monkeypatch.setattr(CompiledTree, "walk", counted)
-    monkeypatch.setattr(sweeps, "WALK_ROWS", 5)
+    monkeypatch.setattr(sweeps, "CHUNK", 7)
     assert _stdout(argv, capsys) == whole
-    # Walks of 5 or more rows, gathered from chunks of at most 7.
-    assert len(walked) > 1 and all(5 <= rows <= 11 for rows in walked[:-1])
+    # Each stack is walked as it is drawn: one walk per chunk of at most 7.
+    assert len(walked) > 1 and all(rows <= 7 for rows in walked)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200 + 12345])

@@ -597,6 +597,8 @@ def test_generate_tree_parses_its_root():
     with pytest.raises(ParseError):
         generate_tree(2, ("z", "q"))
     assert generate_tree(2, "xy").root.index == ("x", "y")
+    with pytest.raises(NonFullCorrelation):
+        generate_tree(2, "z0")
 
 
 @pytest.mark.parametrize("measured, remaining", [
