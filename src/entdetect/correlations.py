@@ -20,7 +20,6 @@ its records.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
@@ -35,7 +34,6 @@ from .errors import (
     DuplicateIndex,
     NonFullCorrelation,
     ParseError,
-    UnsupportedDimension,
 )
 from .linalg import PAULI_LABELS, pauli_operator
 from .states import DensityMatrix, as_density, check_int, check_qubits
@@ -133,15 +131,10 @@ def _sqrt(x):
 MAX_SHOTS = 2**63 - 1
 
 
-def check_shots(shots, least: int = 1) -> None:
-    """Raise DomainError unless shots is an integer from least to MAX_SHOTS
-    (a bool is not a count)."""
-    try:
-        in_range = not isinstance(shots, bool) and least <= operator.index(shots) <= MAX_SHOTS
-    except TypeError:
-        in_range = False
-    if not in_range:
-        raise DomainError(f"shots must be an integer in [{least}, 2^63 - 1], got {shots!r}")
+def check_shots(shots, least: int = 1) -> int:
+    """shots as an int; DomainError unless it is an integer from least to
+    MAX_SHOTS (a bool is not a count)."""
+    return check_int(shots, least, MAX_SHOTS, "shots")
 
 
 def sample(t, shots: int, rng: np.random.Generator):
@@ -310,12 +303,11 @@ class DetectionResult:
 class CorrelationTensor:
     """All 3^n full-correlation values of a state, read from its Pauli tensor."""
 
-    n_qubits: int
     values: np.ndarray  # the (4,)*n Pauli tensor
 
     @property
     def full(self) -> np.ndarray:
-        return self.values[(slice(1, None),) * self.n_qubits]
+        return self.values[(slice(1, None),) * self.values.ndim]
 
     def __getitem__(self, index) -> float:
         if isinstance(index, str):
@@ -323,7 +315,7 @@ class CorrelationTensor:
         return lookup(self.values, tuple(index))
 
     def items(self):
-        return ((idx, self[idx]) for idx in all_full_indices(self.n_qubits))
+        return ((idx, self[idx]) for idx in all_full_indices(self.values.ndim))
 
     def sum_squares(self) -> float:
         return float(np.sum(self.full**2))
@@ -334,6 +326,4 @@ class CorrelationTensor:
 
 def full_tensor(rho: DensityMatrix) -> CorrelationTensor:
     """Exact values for every full index (the brute-force oracle's view)."""
-    if rho.n_qubits > MAX_QUBITS:
-        raise UnsupportedDimension(f"full tensor limited to {MAX_QUBITS} qubits")
-    return CorrelationTensor(rho.n_qubits, pauli_tensor(rho))
+    return CorrelationTensor(pauli_tensor(rho))

@@ -80,6 +80,8 @@ def bloch_to_basis(alpha) -> tuple[float, float]:
     if a.shape != (3,):
         raise DimensionMismatch("Bloch direction must have 3 components")
     norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise DomainError(f"Bloch norm {norm} is not finite")
     if norm < MIN_BLOCH_NORM:
         raise DegenerateDirection(f"Bloch norm {norm:.3e} below {MIN_BLOCH_NORM:.1e}")
     a = a / norm
@@ -115,7 +117,7 @@ def relative_phase(t_yy: float, bloch_a) -> float:
     """
     b = np.asarray(bloch_a, dtype=float)
     denom_sq = 1.0 - float(b @ b)
-    if denom_sq < TOL.phase_denominator:
+    if not denom_sq >= TOL.phase_denominator:  # NaN fails too
         raise DegenerateDenominator(
             f"1 - |bloch|^2 = {denom_sq:.3e} below {TOL.phase_denominator:.1e}"
         )

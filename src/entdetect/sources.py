@@ -11,6 +11,7 @@ strategies only call the query methods.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,8 +27,8 @@ def _unit(direction) -> np.ndarray:
     if d.shape != (3,):
         raise DimensionMismatch("measurement direction must have 3 components")
     norm = float(np.linalg.norm(d))
-    if norm < 1e-12:
-        raise DomainError("measurement direction has zero length")
+    if not 1e-12 <= norm < math.inf:  # NaN fails too
+        raise DomainError(f"measurement direction norm {norm} is not in [1e-12, inf)")
     return d / norm
 
 
@@ -36,12 +37,11 @@ class MeasurementSource:
     (a PureState is held as its density matrix)."""
 
     def __init__(self, state: DensityMatrix, shots: Optional[int] = None, rng=None):
-        if shots is not None:
-            check_shots(shots)
+        self.shots = None if shots is None else check_shots(shots)
         self._state = as_density(state)
         self._tensor = pauli_tensor(self._state)
-        self.shots = shots
-        self._rng = rng_from_seed(rng) if shots is not None else None
+        # A seed is checked even where an exact source draws nothing from it.
+        self._rng = None if shots is None and rng is None else rng_from_seed(rng)
 
     @property
     def n_qubits(self) -> int:

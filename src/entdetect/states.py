@@ -28,9 +28,9 @@ from .errors import (
 from .linalg import dagger, mat_equal, tensor_product_all
 
 
-def check_int(value, low: int, high: int, what: str) -> int:
+def check_int(value, low: int, high: float, what: str) -> int:
     """value as an int; DomainError unless it is an integer (a bool is not)
-    from low to high."""
+    from low to high (math.inf for no upper bound)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
         raise DomainError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
@@ -252,7 +252,10 @@ def make_g() -> PureState:
 
 def rng_from_seed(seed) -> np.random.Generator:
     """np.random.default_rng(seed), raising DomainError for a seed numpy
-    refuses (a negative or fractional number, say)."""
+    refuses (a fractional number, say); an integer seed goes through
+    check_int, so a negative one or a bool is refused."""
+    if isinstance(seed, (int, np.integer)):
+        seed = check_int(seed, 0, math.inf, "seed")
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:

@@ -26,6 +26,7 @@ depend on CHUNK.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -35,10 +36,12 @@ from numpy.random.bit_generator import ISeedSequence
 from .correlations import check_error_multiplier, check_shots, full_positions, pauli_tensors, sample
 from .errors import DomainError
 from .oracles import ppt_test
-from .states import check_density, make_werner, purities, unit_trace
-from .tree import _default_plan_2q
+from .states import check_density, check_int, make_werner, purities, unit_trace
+from .tree import _default_plan_2q, check_threshold
 
 MIN_SHOTS = 100
+# The most purity bins a sweep takes, and the most Werner grid points the CLI builds.
+MAX_GRID_POINTS = 100_000
 # Rows drawn, validated and walked together: large enough to amortize the
 # per-stack numpy calls, small enough that memory does not grow with the
 # sample count. A walk holds 9 values per row.
@@ -61,11 +64,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.shots is not None:
-            check_shots(self.shots, MIN_SHOTS)
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.threshold < 1.0:
-            raise DomainError(f"threshold must be in (0, 1), got {self.threshold}")
+            self.shots = check_shots(self.shots, MIN_SHOTS)
+        self.seed = check_int(self.seed, 0, math.inf, "seed")
+        check_threshold(self.threshold)
         check_error_multiplier(self.error_multiplier)
 
 
@@ -80,8 +81,7 @@ class SweepRow:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise DomainError(f"fraction {self.fraction} outside [0, 1]")
-        if self.n_samples <= 0:
-            raise DomainError("each sweep row needs at least one sample")
+        check_int(self.n_samples, 1, math.inf, "sample count")
 
 
 @dataclass
@@ -133,8 +133,7 @@ def sweep_werner(
 ) -> SweepResult:
     """Detection across the Werner family, one row per mixing probability;
     each probability runs once in exact mode and repeats times in shot mode."""
-    if repeats < 1:
-        raise DomainError(f"repeats must be >= 1, got {repeats}")
+    repeats = check_int(repeats, 1, math.inf, "repeat count")
     n_runs = 1 if cfg.shots is None else repeats
     total = len(p_values) * n_runs
     if total >= 2**32:
@@ -205,15 +204,12 @@ def sweep_purity(
 
     Samples draw a uniformly random Ginibre rank from 1..4 so every purity
     bin between 0.25 and 1 is populated; rank-1 draws are pure states.
+    n_samples runs from 1000 to 2^32 - 1 and bins from 1 to MAX_GRID_POINTS.
     Bins that contain no entangled sample are dropped (every emitted row has
     a positive sample count).
     """
-    if n_samples < 1000:
-        raise DomainError(f"purity sweep needs at least 1000 samples, got {n_samples}")
-    if n_samples >= 2**32:
-        raise DomainError(f"purity sweep takes fewer than 2^32 samples, got {n_samples}")
-    if bins < 1:
-        raise DomainError(f"purity sweep needs at least one bin, got {bins}")
+    n_samples = check_int(n_samples, 1000, 2**32 - 1, "sample count")
+    bins = check_int(bins, 1, MAX_GRID_POINTS, "bin count")
     edges = np.linspace(0.25, 1.0, bins + 1)
 
     def chunks():

@@ -43,6 +43,7 @@ one run; CompiledTree.walk takes a stack of rows through the same rules.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -50,7 +51,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import MAX_QUBITS
 from .correlations import (
     CorrelationRecord,
     CriterionState,
@@ -58,6 +58,7 @@ from .correlations import (
     Index,
     all_full_indices,
     check_error_multiplier,
+    check_shots,
     criterion_add,
     criterion_met,
     error_variance,
@@ -69,6 +70,7 @@ from .correlations import (
 from .errors import DimensionMismatch, DomainError, NonFullCorrelation
 from .linalg import PAULI_LABELS
 from .sources import measure_bloch
+from .states import check_int, check_qubits
 
 # A full index's labels are the base-3 digits of its place in all_full_indices.
 _AXIS_POS = {"z": 0, "y": 1, "x": 2}
@@ -147,14 +149,19 @@ class _PlannedNode(TreeNode):
         return self._child(False)
 
 
+def check_threshold(threshold) -> None:
+    """Raise DomainError unless the branching threshold is in (0, 1)."""
+    if not 0.0 < threshold < 1.0:  # NaN fails too
+        raise DomainError(f"threshold must be in (0, 1), got {threshold}")
+
+
 @dataclass
 class DecisionTree:
     root: TreeNode
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise DomainError(f"threshold must be in (0, 1), got {self.threshold}")
+        check_threshold(self.threshold)
 
     @property
     def n_qubits(self) -> int:
@@ -178,17 +185,15 @@ def _best_child(path) -> Optional[int]:
 
 
 def _plan(n: int, root: Index, threshold: float, max_depth: Optional[int]) -> DecisionTree:
-    if not 1 <= n <= MAX_QUBITS:
-        raise DomainError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    if max_depth is not None and not max_depth >= 1:  # NaN fails too
-        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
+    n = check_qubits(n)
+    if max_depth is None:
+        max_depth = 3**n if n <= 2 else 8
+    max_depth = check_int(max_depth, 1, math.inf, "max_depth")
     root = parse_index(root)
     if len(root) != n:
         raise DimensionMismatch(f"root index length {len(root)} does not match n={n}")
     if not is_full(root):
         raise NonFullCorrelation("tree root must be a full correlation")
-    if max_depth is None:
-        max_depth = 3**n if n <= 2 else 8
     return DecisionTree(_PlannedNode(root, [], max_depth - 1), threshold)
 
 
@@ -321,8 +326,12 @@ class CompiledTree:
         detection by criterion_met; a row that leaves the tree undetected
         continues through priority_order's queue: unmeasured indices by their
         spent budget, summed record by record in record order, ties broken
-        by the index. error_multiplier is checked before any row is walked.
+        by the index. threshold, shots and error_multiplier are checked
+        before any row is walked.
         """
+        check_threshold(threshold)
+        if shots is not None:
+            check_shots(shots)
         check_error_multiplier(error_multiplier)
         squares = values * values
         terms = error_variance(values, standard_error(values, shots))
@@ -411,6 +420,7 @@ def run_with_bloch_start(
     check_error_multiplier(error_multiplier)
     local_records, blochs, _ = measure_bloch(source)
     root, renamings = starting_index_from_bloch(blochs)
+    # Not generate_tree, whose span hook in bench/spans.py expands the whole lazy plan.
     tree = _plan(source.n_qubits, root, threshold, None)
     result = run_tree(source, tree, error_multiplier=error_multiplier)
     details = {

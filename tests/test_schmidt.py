@@ -99,9 +99,14 @@ def test_bloch_to_basis_pole_phase_is_zero():
         assert phi == 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # a norm of 1e308 components
 def test_bloch_to_basis_degenerate():
     with pytest.raises(DegenerateDirection):
         bloch_to_basis([0, 0, 0])
+    # A non-finite norm is not a direction: [nan, 0, 0] read (pi/2, nan).
+    for alpha in ([math.nan, 0, 0], [math.inf, 0, 0], [1e308, 1e308, 0]):
+        with pytest.raises(DomainError):
+            bloch_to_basis(alpha)
 
 
 # The frame's oracle: build the basis pair, then the z/y/x-like operators
@@ -212,6 +217,8 @@ def test_relative_phase_cases():
     assert abs(abs(relative_phase(t_yy, bloch)) - 1.0) < 1e-9
     with pytest.raises(DegenerateDenominator):
         relative_phase(0.1, [0, 0, 1 - 1e-8])
+    with pytest.raises(DegenerateDenominator):  # it returned NaN
+        relative_phase(0.1, [math.nan, 0, 0])
 
 
 def test_protocol_known_theta():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,7 @@ def test_measure_directions_matches_operator_oracle():
             assert abs(source.measure_directions(axes) - correlation(rho, labels)) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # a norm of 1e308 components
 def test_measure_directions_validation():
     source = MeasurementSource(bell_phi_plus().density())
     with pytest.raises(DimensionMismatch):
@@ -58,6 +61,12 @@ def test_measure_directions_validation():
         source.measure_directions([[0, 1], None])
     with pytest.raises(DomainError):
         source.measure_directions([[0, 0, 0], None])
+    # A non-finite norm is refused in either mode: exact mode returned NaN,
+    # shot mode raised numpy's ValueError, and an overflowing norm read 0.0.
+    for source in (MeasurementSource(bell_phi_plus()), MeasurementSource(bell_phi_plus(), 4500, rng=1)):
+        for direction in ([math.nan, 0, 1], [math.inf, 0, 0], [1e308, 1e308, 0]):
+            with pytest.raises(DomainError):
+                source.measure_directions([direction, [0, 0, 1]])
 
 
 def test_filter_refreshes_correlations():
@@ -79,6 +88,7 @@ def test_shot_counts_must_be_integers():
         with pytest.raises(DomainError):
             MeasurementSource(rho, shots=shots, rng=1)
     assert MeasurementSource(rho, shots=np.int64(4500)).shots == 4500
+    assert type(MeasurementSource(rho, shots=np.int64(4500)).shots) is int
 
 
 def test_a_pure_state_is_read_through_its_density_matrix():
@@ -90,7 +100,9 @@ def test_a_pure_state_is_read_through_its_density_matrix():
     assert source.apply_filter(f) == oracle.apply_filter(f)
 
 
-@pytest.mark.parametrize("rng", [-1, 1.5])
+@pytest.mark.parametrize("rng", [-1, 1.5, True])
 def test_a_bad_shot_seed_is_refused(rng):
-    with pytest.raises(DomainError):
-        MeasurementSource(bell_phi_plus(), shots=100, rng=rng)
+    # An exact source draws nothing from its seed, but checks it all the same.
+    for shots in (100, None):
+        with pytest.raises(DomainError):
+            MeasurementSource(bell_phi_plus(), shots=shots, rng=rng)

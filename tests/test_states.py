@@ -273,7 +273,7 @@ SEEDED = {
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED))
-@pytest.mark.parametrize("seed", [-1, 1.5, math.nan])
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan, True])
 def test_a_bad_seed_is_refused(name, seed):
     with pytest.raises(DomainError):
         SEEDED[name](seed)

@@ -257,3 +257,34 @@ def test_sweep_shot_counts_must_be_integers():
         with pytest.raises(DomainError):
             sweeps.ExperimentConfig(shots=shots)
     assert sweeps.ExperimentConfig(shots=np.int64(150)).shots == 150
+    # Seeds follow the same rule: a bool, a fraction or None is refused.
+    for seed in (1.5, True, None):
+        with pytest.raises(DomainError):
+            sweeps.ExperimentConfig(seed=seed)
+    # A numpy integer is stored as the int it stands for.
+    cfg = sweeps.ExperimentConfig(shots=np.int64(150), seed=np.int64(5))
+    assert (type(cfg.shots), type(cfg.seed)) == (int, int)
+    same = sweeps.ExperimentConfig(shots=150, seed=5)
+    assert sweeps.sweep_purity(1000, cfg).to_json() == sweeps.sweep_purity(1000, same).to_json()
+    assert sweeps.sweep_werner([0.5], cfg, 2).to_json() == sweeps.sweep_werner([0.5], same, 2).to_json()
+    # So do the sweeps' own counts.
+    for call in (
+        lambda: sweeps.sweep_purity(1000.5, same),
+        lambda: sweeps.sweep_purity(True, same),
+        lambda: sweeps.sweep_purity(1000, same, bins=2.5),
+        lambda: sweeps.sweep_purity(1000, same, bins=True),
+        lambda: sweeps.sweep_werner([0.5], same, repeats=2.5),
+        lambda: sweeps.sweep_werner([0.5], same, repeats=True),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("threshold, shots", [
+    (math.nan, None), (0.0, None), (1.0, None), (0.5, 4500.5), (0.5, True), (0.5, 0),
+])
+def test_walk_refuses_a_bad_threshold_or_shot_count(threshold, shots):
+    # A NaN threshold sent every row down the small branch.
+    values = pauli_tensors(make_werner(0.2).matrix)[None, full_positions(2)]
+    with pytest.raises(DomainError):
+        CompiledTree(default_tree_2q()).walk(values, threshold, shots)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 from itertools import product
 
@@ -599,6 +600,15 @@ def test_generate_tree_parses_its_root():
     assert generate_tree(2, "xy").root.index == ("x", "y")
     with pytest.raises(NonFullCorrelation):
         generate_tree(2, "z0")
+
+
+@pytest.mark.parametrize("n, max_depth", [
+    (True, None), (2.0, None), (2, True), (2, 2.5), (2, math.inf), (2, 2.0),
+])
+def test_generate_tree_takes_integer_counts(n, max_depth):
+    root = ("z",) * int(n)
+    with pytest.raises(DomainError):
+        generate_tree(n, root, max_depth=max_depth)
 
 
 @pytest.mark.parametrize("measured, remaining", [
