@@ -291,26 +291,41 @@ class Walk(NamedTuple):
 
 
 class CompiledTree:
-    """A decision tree expanded once into arrays, to walk a stack of rows
-    through it (walk). Node k measures the full index full_id[k] and
-    continues with node big[k] or small[k] (-1: none); the root is node 0."""
+    """A decision tree checked and expanded once into arrays, to walk a stack
+    of rows through it (walk). Node k measures the full index full_id[k] and
+    continues with node big[k] or small[k] (-1: none); the root is node 0.
+    Building it is the one whole-tree check, which validate_tree runs: depth
+    first, big child first, the first node that is not a full index of the
+    tree's width, repeats on its path or anti-commutes with a big-outcome
+    ancestor raises DomainError."""
 
     def __init__(self, tree: DecisionTree):
         self.n_qubits = tree.n_qubits
-        tables = index_tables(tree.n_qubits)
-        ids, self.anti = tables.position, tables.anti
-        nodes = [tree.root]
-        full_id, children = [], []
-        for node in nodes:  # breadth first; nodes grows as children are found
-            full_id.append(ids[tuple(node.index)])
-            pair = []
-            for child in (node.big, node.small):
-                pair.append(-1 if child is None else len(nodes))
+        t = index_tables(tree.n_qubits)
+        self.anti = t.anti
+        anti = [frozenset(np.flatnonzero(row).tolist()) for row in t.anti]
+        nodes = [-1, -1, -1]  # full_id, big and small of node k at 3k, 3k + 1 and 3k + 2
+        # Pending: a node, its number, the places on its path, its big ancestors.
+        pending = [(tree.root, 0, frozenset(), ())]
+        while pending:
+            node, k, seen, big_anc = pending.pop()
+            index = node.index
+            place = t.position.get(index)
+            if place is None:
+                raise DomainError(f"node {format_index(index)} is not a full index")
+            if place in seen:
+                raise DomainError(f"index {format_index(index)} repeats along a path")
+            if not anti[place].isdisjoint(big_anc):
+                raise DomainError(f"node {format_index(index)} anti-commutes with a big-outcome ancestor")
+            nodes[3 * k] = place
+            seen |= {place}
+            # The small child is pushed first, so that the big one pops first.
+            for slot, child, anc in ((2, node.small, big_anc), (1, node.big, big_anc + (place,))):
                 if child is not None:
-                    nodes.append(child)
-            children.append(pair)
-        self.full_id = np.array(full_id)
-        self.big, self.small = np.array(children).T
+                    nodes[3 * k + slot] = number = len(nodes) // 3
+                    pending.append((child, number, seen, anc))
+                    nodes += (-1, -1, -1)
+        self.full_id, self.big, self.small = np.array(nodes).reshape(-1, 3).T
         for table in (self.full_id, self.big, self.small):  # read-only, like the shared tables
             table.setflags(write=False)
 
@@ -326,16 +341,19 @@ class CompiledTree:
         detection by criterion_met; a row that leaves the tree undetected
         continues through priority_order's queue: unmeasured indices by their
         spent budget, summed record by record in record order, ties broken
-        by the index. threshold, shots and error_multiplier are checked
-        before any row is walked.
+        by the index. The stack's shape, threshold, shots and
+        error_multiplier are checked before any row is walked.
         """
+        n_full = 3**self.n_qubits
+        if np.ndim(values) != 2 or np.shape(values)[1] != n_full:
+            raise DimensionMismatch(f"values must be a (N, {n_full}) stack, got shape {np.shape(values)}")
         check_threshold(threshold)
         if shots is not None:
             check_shots(shots)
         check_error_multiplier(error_multiplier)
         squares = values * values
         terms = error_variance(values, standard_error(values, shots))
-        count, n_full = values.shape
+        count = len(values)
         total = np.zeros(count)
         variance = np.zeros(count)
         steps = np.zeros(count, dtype=int)
@@ -394,16 +412,18 @@ def starting_index_from_bloch(blochs: Sequence[np.ndarray]) -> tuple[Index, tupl
     """Root index suggested by the local Bloch vectors.
 
     Each party contributes its dominant axis (largest |component| when it
-    reaches DOMINANCE_THRESHOLD, else the default z). Also returns, per
-    party, the cyclic axis renaming that carries a canonical x-rooted plan
-    onto the suggested one.
+    reaches DOMINANCE_THRESHOLD, else the default z); a non-finite component
+    raises DomainError. Also returns, per party, the cyclic axis renaming
+    that carries a canonical x-rooted plan onto the suggested one.
     """
     dominant = []
     for b in blochs:
         b = np.asarray(b, dtype=float)
         if b.shape != (3,):
             raise DimensionMismatch("each Bloch vector must have 3 components")
-        k = int(np.argmax(np.abs(b)))
+        k = int(np.argmax(np.abs(b)))  # a NaN component, if any, is picked first
+        if not math.isfinite(b[k]):
+            raise DomainError(f"Bloch vector {b} has a non-finite component")
         dominant.append("xyz"[k] if abs(b[k]) >= DOMINANCE_THRESHOLD else "z")
     # Renaming x to axis adds the same shift to every digit of the party.
     shift = {axis: _AXIS_POS[axis] - _AXIS_POS["x"] for axis in "xyz"}
@@ -453,30 +473,8 @@ def iter_paths(tree: DecisionTree):
 
 
 def validate_tree(tree: DecisionTree) -> None:
-    """Check the path invariants: no repeats, and every node commutes with
-    all big-outcome ancestors on its path. Raises DomainError on violation.
-    Each node is checked once, by place, against the big-outcome ancestors
-    carried down to it, in its row of the anti table."""
-    t = index_tables(tree.n_qubits)
-    anti = t.anti.tolist()
-
-    def check(node, seen: frozenset, big_anc: tuple):
-        index = node.index
-        place = t.position.get(index)
-        if place is None:
-            raise DomainError(f"node {format_index(index)} is not a full index")
-        if place in seen:
-            raise DomainError(f"index {format_index(index)} repeats along a path")
-        if any(anti[place][a] for a in big_anc):
-            raise DomainError(
-                f"node {format_index(index)} anti-commutes with a big-outcome ancestor"
-            )
-        seen = seen | {place}
-        for outcome_big, child in ((True, node.big), (False, node.small)):
-            if child is not None:
-                check(child, seen, big_anc + (place,) if outcome_big else big_anc)
-
-    check(tree.root, frozenset(), ())
+    """Check the path invariants by compiling the tree; DomainError on violation."""
+    CompiledTree(tree)
 
 
 def _node_to_dict(node: Optional[TreeNode]):

@@ -1,15 +1,17 @@
 """The library's error contract: every public call returns or raises an
 EntDetectError, whatever values its parameters take, and it refuses the
 values the contract names (REFUSED): a bool or a fraction for any count,
-seed, shot count or depth, a threshold outside (0, 1), and a direction
-whose norm is not finite.
+seed, shot count or depth, a threshold outside (0, 1), a direction whose
+norm is not finite, a Bloch vector with a non-finite component, a stack
+whose width is not its plan's, and a plan that breaks a path invariant.
 
 The public calls are the names of entdetect, the sweeps, the query methods
 of a fresh source and the walk of a compiled plan. Each parameter draws
 from the pool of its own kind (qubit counts, seeds, shot counts, floats,
 labels, states, ...), valid values beside edge values. Values of the wrong
-type (a string for a state, a float for a dict) and dicts or stacks of the
-wrong structure are outside the contract, and no pool holds them.
+type (a string for a state, a float for a dict), dicts of the wrong
+structure and stacks that are not numeric arrays are outside the contract,
+and no pool holds them.
 """
 
 import inspect
@@ -36,7 +38,7 @@ def _source(state, shots=None):
 
 
 def _tree(root, *nodes):
-    """A hand-built two-level tree: root with the given big child indices."""
+    """A hand-built two-level tree: root with the given big and small child indices."""
     return lambda: ed.DecisionTree(ed.TreeNode(root, *(n and ed.TreeNode(n) for n in nodes)))
 
 
@@ -66,6 +68,10 @@ POOLS = {
     "tree": (ed.default_tree_2q, lambda: ed.generate_tree(3, ("x", "x", "x")),
              _tree(("z", "q"), ("z", "z")), _tree(("z", "z"), ("z", "z")),
              _tree(("z", "z"), ("z", "x")), _tree(("z", "z", "z"), ("x", "x"))),
+    "plan": (ed.default_tree_2q, lambda: ed.generate_tree(3, ("x", "x", "x")),
+             _tree(("z", "z"), ("y", "y"), ("x", "z")), _tree(("z", "z"), ("z", "z")),
+             _tree(("z", "z"), None, ("z", "z")), _tree(("z", "z"), ("z", "q")),
+             _tree(("z", "z"), ("z", "z", "z")), _tree(("z", "z"), ("x", "z"))),
     "node": (None, ed.TreeNode(("z", "z")), ed.TreeNode(("z", "q"))),
     "frame": (ed.random_frame(2, 1), ed.random_frame(3, 1)),
     "filter": (ed.FilterOp(0, 0.5), ed.FilterOp(1, 1.0), ed.FilterOp(3, 0.5)),
@@ -116,7 +122,8 @@ POOLS = {
                sweeps.ExperimentConfig(threshold=0.8, error_multiplier=0.0)),
     "grid": ([0.5], np.linspace(0.0, 1.0, 11), [], [math.nan], [1.5]),
     "compiled": (CompiledTree(ed.default_tree_2q()),),
-    "stack": (WERNER_ROWS, WERNER_ROWS[:1], np.zeros((0, 9)), np.full((1, 9), math.nan)),
+    "stack": (WERNER_ROWS, WERNER_ROWS[:1], np.zeros((0, 9)), np.full((1, 9), math.nan),
+              np.zeros((1, 4)), np.zeros((1, 27)), np.zeros(9)),
 }
 
 
@@ -128,12 +135,28 @@ def _non_finite_norm(direction):
     return not np.isfinite(np.linalg.norm(np.asarray(direction, dtype=float)))
 
 
+def _breaks_a_path_invariant(tree):
+    """A node that is not a full index of the tree's width, repeats on its
+    path or anti-commutes with a big-outcome ancestor."""
+    fulls = set(ed.all_full_indices(tree.n_qubits))
+    for path in ed.iter_paths(tree):
+        for k, (index, _) in enumerate(path):
+            if index not in fulls:
+                return True
+            if any(a == index or big and ed.anticommute(a, index) for a, big in path[:k]):
+                return True
+    return False
+
+
 # The values a call must refuse, by kind.
 REFUSED = {kind: _not_an_integer for kind in ("qubits", "count", "seed", "shots", "depth", "samples", "bins", "repeats")}
 REFUSED.update(
     threshold=lambda t: not 0 < t < 1,
     vector=_non_finite_norm,
     directions=lambda ds: any(d is not None and _non_finite_norm(d) for d in ds),
+    blochs=lambda bs: any(not np.isfinite(b).all() for b in bs),
+    stack=lambda values: np.shape(values)[1:] != (9,),  # every compiled plan in the pool has 2 qubits
+    plan=_breaks_a_path_invariant,
 )
 # The kind of every parameter, by name; KIND_OF_CALL overrides it for one callable.
 KIND = {
@@ -161,6 +184,7 @@ KIND_OF_CALL = {
     ("load_state", "path"): "state_path", ("load_tree", "path"): "tree_path",
     ("save_state", "path"): "out_path", ("save_tree", "path"): "out_path",
     ("CompiledTree.walk", "self"): "compiled", ("CompiledTree.walk", "values"): "stack",
+    ("CompiledTree", "tree"): "plan", ("validate_tree", "tree"): "plan",
 }
 
 
@@ -177,6 +201,7 @@ def _public_callables():
     # Methods take their instance as the parameter self.
     for name in ("measure_index", "measure_directions", "apply_filter"):
         yield f"MeasurementSource.{name}", getattr(ed.MeasurementSource, name)
+    yield "CompiledTree", CompiledTree
     yield "CompiledTree.walk", CompiledTree.walk
 
 
@@ -255,6 +280,9 @@ def files(tmp_path_factory):
                {"self": _source(BELL), "directions": [[1e308, 1e308, 0], [0, 0, 1]]}))
 @example(call=("bloch_to_basis", {"alpha": np.array([math.nan, 0.0, 0.0])}))
 @example(call=("CompiledTree.walk", {"self": POOLS["compiled"][0], "values": WERNER_ROWS, "threshold": math.nan}))
+@example(call=("CompiledTree", {"tree": _tree(("z", "z"), ("z", "z"))}))
+@example(call=("CompiledTree.walk", {"self": POOLS["compiled"][0], "values": np.zeros((1, 4)), "threshold": 0.5}))
+@example(call=("starting_index_from_bloch", {"blochs": [np.array([math.nan, 0.0, 0.0])]}))
 def test_every_public_call_returns_or_raises_an_entdetect_error(files, call):
     name, kwargs = call
     kwargs = {p: v() if callable(v) else v for p, v in kwargs.items()}

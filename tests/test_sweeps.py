@@ -10,15 +10,20 @@ import pytest
 from conftest import BAD_ERROR_MULTIPLIERS
 from entdetect import (
     CorrelationRecord,
+    DecisionTree,
     DensityMatrix,
+    DimensionMismatch,
     DomainError,
     MeasurementSource,
     NotHermitian,
     all_full_indices,
     apply_frame,
     default_tree_2q,
+    generate_tree,
     ket,
     make_colored,
+    make_g,
+    make_w,
     make_werner,
     ppt_verdict,
     brute_force_criterion,
@@ -26,6 +31,7 @@ from entdetect import (
     random_frame,
     random_mixed,
     run_tree,
+    TreeNode,
 )
 from entdetect import sweeps
 from entdetect.cli import main
@@ -92,6 +98,29 @@ def test_walk_matches_run_tree_in_the_priority_stage():
     reached = [run for run in runs if run.strategy == "tree+priority"]
     assert len(reached) >= 40
     assert any(run.detected for run in reached)
+
+
+def test_walk_matches_run_tree_on_a_three_qubit_plan():
+    rng = np.random.default_rng(3)
+    states = [make_w().density(), make_g().density(), DensityMatrix(3, np.eye(8) / 8)]
+    states += [random_mixed(3, rng, rank=int(rng.integers(1, 9))) for _ in range(60)]
+    runs = _assert_walk_matches_run_tree(states, generate_tree(3, ("x", "x", "x")))
+    assert {run.strategy for run in runs} == {"tree", "tree+priority"}
+    assert any(run.detected for run in runs) and not all(run.detected for run in runs)
+
+
+def test_a_repeated_index_is_not_walked_to_a_detection():
+    # Walked, zz twice would sum T_zz^2 = 1 twice on the product state |00>.
+    tree = DecisionTree(TreeNode(("z", "z"), big=TreeNode(("z", "z"))))
+    values = pauli_tensors(ket("00").density().matrix[None])[:, full_positions(2)]
+    with pytest.raises(DomainError, match="repeats along a path"):
+        CompiledTree(tree).walk(values, tree.threshold)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (1, 27), (9,), (1, 9, 1)])
+def test_walk_refuses_a_stack_of_the_wrong_shape(shape):
+    with pytest.raises(DimensionMismatch):
+        CompiledTree(default_tree_2q()).walk(np.zeros(shape), 0.5)
 
 
 def test_stack_helpers_match_per_state_functions():

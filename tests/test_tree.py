@@ -12,7 +12,7 @@ from conftest import BAD_ERROR_MULTIPLIERS, Unmeasured
 from entdetect import tree as tree_module
 from entdetect.correlations import _pauli_rows
 from entdetect.states import _psd_shift
-from entdetect.tree import _default_plan_2q
+from entdetect.tree import CompiledTree, _default_plan_2q
 from entdetect import (
     CorrelationRecord,
     DecisionTree,
@@ -626,3 +626,35 @@ def test_priority_order_refuses_a_non_full_index(measured, remaining):
 def test_validate_tree_refuses_a_node_that_is_not_a_full_index(node):
     with pytest.raises(DomainError):
         validate_tree(DecisionTree(TreeNode(("z", "z"), big=node)))
+
+
+ZZ, YY, XZ = ("z", "z"), ("y", "y"), ("x", "z")
+# Hand-built trees that break a path invariant, and the message of the first
+# bad node, depth first and big child first.
+INVALID_TREES = {
+    "zz repeated on the big branch": (TreeNode(ZZ, big=TreeNode(ZZ)), "index zz repeats along a path"),
+    "zz repeated on the small branch": (TreeNode(ZZ, small=TreeNode(ZZ)), "index zz repeats along a path"),
+    "bad label": (TreeNode(ZZ, big=TreeNode(("z", "q"))), "node zq is not a full index"),
+    "wrong width": (TreeNode(ZZ, big=TreeNode(("z",) * 3)), "node zzz is not a full index"),
+    "xz after a big zz": (TreeNode(ZZ, big=TreeNode(XZ)), "node xz anti-commutes with a big-outcome ancestor"),
+    "big branch first": (TreeNode(ZZ, big=TreeNode(YY, small=TreeNode(("z", "q"))), small=TreeNode(ZZ)),
+                         "node zq is not a full index"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_TREES))
+def test_compiling_refuses_what_validate_tree_refuses(name):
+    root, message = INVALID_TREES[name]
+    for check in (CompiledTree, validate_tree):
+        with pytest.raises(DomainError) as refusal:
+            check(DecisionTree(root))
+        assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("blochs", [
+    [np.array([math.nan, 0.0, 0.0])] * 2, [np.array([math.inf, 0.0, 0.0])] * 2,
+    [np.zeros(3), np.array([0.0, -math.inf, 0.5])],
+])
+def test_starting_index_refuses_a_non_finite_component(blochs):
+    with pytest.raises(DomainError):
+        starting_index_from_bloch(blochs)
